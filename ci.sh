@@ -27,10 +27,10 @@ cargo test --workspace --offline -q
 
 echo "==> kernel-equivalence smoke gate"
 # Batched SoA distance kernels must match the scalar bound functions
-# (<= 1 ulp, every metric, 2-D and 3-D), and every KeyDomain x
-# ExpansionPath combination must emit the identical result stream.
+# (<= 1 ulp, every metric, 2-D and 3-D), and squared Euclidean keys must
+# pay exactly one sqrt per reported result.
 cargo test -p sdj-geom --offline -q --test kernel_equivalence
-cargo test -p sdj-core --offline -q --test key_domain
+cargo test -p sdj-core --offline -q --test sqrt_accounting sqrt_calls_equal_reported_results
 
 echo "==> storage concurrency smoke gate"
 # The sharded buffer pool must stay observationally equivalent to the
@@ -42,7 +42,6 @@ cargo clippy -p sdj-storage --all-targets --offline -- -D warnings
 cargo test -p sdj-storage --offline -q --test pin_evict
 cargo test -p sdj-storage --offline -q --test pin_evict threaded_pin_evict_stress
 cargo test -p sdj-exec --offline -q --test parallel_equivalence shard_counts_are_stream_invisible
-cargo test -p sdj-exec --offline -q --test parallel_equivalence prefetch_is_stream_invisible_and_conserves_io
 
 echo "==> fail-clean chaos gate"
 # Fault injection must never panic and never corrupt the result stream:
@@ -66,9 +65,9 @@ echo "==> planner / bulk-path gate"
 # The bulk partition/plane-sweep path must stay multiset-equal to the
 # incremental engine (bit-identical ordered streams), invariant across
 # worker counts, and the cost-based planner's choice must be recorded in
-# reports and overridable. The lane kernels ride the geom suboptimal_flops
-# gate above (sdj-geom --all-targets covers them). bench_planner must keep
-# building so BENCH_planner.json stays reproducible.
+# reports and overridable. The bulk sweep's SoA kernels ride the geom
+# suboptimal_flops gate above (sdj-geom --all-targets covers them).
+# bench_planner must keep building so BENCH_planner.json stays reproducible.
 cargo build --release --offline -p sdj-bench --bin bench_planner
 cargo test -p sdj-core --offline -q --test bulk_equivalence
 cargo test -p sdj-exec --offline -q --test bulk_parallel
@@ -142,8 +141,11 @@ echo "==> session service gate"
 # a kind-confused queue pair must decode to a typed Corrupt error rather
 # than a panic (one corrupt query must not take down a serving process),
 # and a 4-session interleaved report run must attribute each session's
-# share of the shared buffer pool in the report's sessions rows.
+# share of the shared buffer pool in the report's sessions rows. An invalid
+# session config must be refused with a typed error before admission (no
+# panic, no leaked slot).
 cargo test -p sdj-service --offline -q --test session_equivalence
+cargo test -p sdj-service --offline -q --test session_equivalence invalid_config_is_refused_without_taking_a_slot
 cargo test -p sdj-core --offline -q --test chaos kind_confused_pair_decodes_to_error_or_honest_kinds
 ./target/release/sdj-report --n 4000 --k 400 --sessions 4 \
     --out results/RunReport_sessions.json

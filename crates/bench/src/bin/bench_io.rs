@@ -1,22 +1,21 @@
-//! Buffer-pool I/O report for the sharded pool and queue-driven prefetch.
+//! Buffer-pool I/O report for the sharded pool.
 //!
 //! Joins two uniform 100k-point sets, consuming the K = 100,000 closest
-//! pairs through the serial engine under shard-count × prefetch
-//! combinations, and writes the measurements to `BENCH_io.json` in the
-//! current directory.
+//! pairs through the serial engine under each shard count, and writes the
+//! measurements to `BENCH_io.json` in the current directory.
 //!
-//! The `1 shard, LRU, prefetch off` sample is the historical single-mutex
-//! pool: its demand-miss count is the paper's node-I/O measure and is
-//! byte-identical to the pre-sharding implementation (the storage test
-//! suite pins this). Every combination emits the identical result stream —
-//! the exec equivalence suites pin that too — so the numbers isolate the
-//! I/O behaviour, not the answer.
+//! The `1 shard, LRU` sample is the historical single-mutex pool: its
+//! demand-miss count is the paper's node-I/O measure and is byte-identical
+//! to the pre-sharding implementation (the storage test suite pins this).
+//! Every shard count emits the identical result stream — the exec
+//! equivalence suites pin that too — so the numbers isolate the I/O
+//! behaviour, not the answer.
 //!
-//! Honesty note: this container exposes a single CPU, so the report states
-//! counters (demand misses, prefetch conversions, pager-lock acquisitions
-//! avoided), not parallel speedups. The lock-avoidance counter is the
-//! number of page accesses served without touching the shared pager mutex —
-//! the contention the sharded pool removes when real cores are present.
+//! The report states counters (demand misses, pager-lock acquisitions
+//! avoided) next to single-shot wall clock, not parallel speedups. The
+//! lock-avoidance counter is the number of page accesses served without
+//! touching the shared pager mutex — the contention the sharded pool
+//! removes when several cores read at once.
 
 use std::time::Instant;
 
@@ -30,33 +29,21 @@ use sdj_storage::PoolStats;
 struct Sample {
     label: String,
     shards: usize,
-    prefetch_depth: usize,
     seconds: f64,
     pairs: u64,
     stats: PoolStats,
-    prefetch_hints: u64,
     shard_misses: Vec<u64>,
 }
 
-fn measure(
-    t1: &mut RTree<2>,
-    t2: &mut RTree<2>,
-    frames: usize,
-    shards: usize,
-    depth: usize,
-    k: u64,
-) -> Sample {
+fn measure(t1: &mut RTree<2>, t2: &mut RTree<2>, frames: usize, shards: usize, k: u64) -> Sample {
     // Fresh cold pool per run: every sample pays the same cold start, and
-    // the shard/prefetch settings apply from the first fault.
+    // the shard setting applies from the first fault.
     t1.rebuild_buffer(frames, shards).expect("rebuild buffer");
     t2.rebuild_buffer(frames, shards).expect("rebuild buffer");
-    let config = JoinConfig::default().with_max_pairs(k).with_prefetch(depth);
+    let config = JoinConfig::default().with_max_pairs(k);
     let start = Instant::now();
-    let mut join = DistanceJoin::new(t1, t2, config);
-    let pairs = join.by_ref().count() as u64;
+    let pairs = DistanceJoin::new(&*t1, &*t2, config).count() as u64;
     let seconds = start.elapsed().as_secs_f64();
-    let join_stats = join.stats();
-    drop(join);
     let mut stats = t1.io_stats();
     stats.absorb(&t2.io_stats());
     let mut shard_misses: Vec<u64> = t1.shard_io_stats().iter().map(|s| s.misses).collect();
@@ -64,19 +51,12 @@ fn measure(
         *m += s.misses;
     }
     let policy = if shards <= 1 { "LRU" } else { "CLOCK" };
-    let label = if depth == 0 {
-        format!("{shards} shard(s), {policy}, prefetch off")
-    } else {
-        format!("{shards} shard(s), {policy}, prefetch depth {depth}")
-    };
     Sample {
-        label,
+        label: format!("{shards} shard(s), {policy}"),
         shards,
-        prefetch_depth: depth,
         seconds,
         pairs,
         stats,
-        prefetch_hints: join_stats.prefetch_hints,
         shard_misses,
     }
 }
@@ -94,7 +74,6 @@ fn main() {
     let n: usize = env_num("SDJ_BENCH_N", 100_000);
     let k: u64 = env_num("SDJ_BENCH_K", 100_000);
     let frames: usize = env_num("SDJ_BENCH_FRAMES", 128);
-    let depth: usize = env_num("SDJ_BENCH_PREFETCH", 8);
 
     eprintln!("# building two uniform {n}-point trees ...");
     let a: Vec<Point<2>> = uniform_points(n, &unit_box(), 97);
@@ -102,19 +81,11 @@ fn main() {
     let mut t1 = build_tree(&a);
     let mut t2 = build_tree(&b);
 
-    let combos = [(1usize, 0usize), (1, depth), (4, 0), (4, depth)];
-    let mut samples = Vec::with_capacity(combos.len());
-    for (shards, d) in combos {
-        eprintln!("# serial join, K={k}, {frames} frames, {shards} shard(s), prefetch={d} ...");
-        samples.push(measure(&mut t1, &mut t2, frames, shards, d, k));
+    let mut samples = Vec::new();
+    for shards in [1, 4] {
+        eprintln!("# serial join, K={k}, {frames} frames, {shards} shard(s) ...");
+        samples.push(measure(&mut t1, &mut t2, frames, shards, k));
     }
-    let baseline = &samples[0];
-    let baseline_misses = baseline.stats.misses;
-    assert_eq!(
-        baseline.stats.prefetch_reads + baseline.stats.prefetch_hits,
-        0,
-        "baseline must not prefetch"
-    );
     // Warm-read zero-copy, counter-verified: the join's node reads go
     // through cached views and page guards, never the copying `read` API.
     for s in &samples {
@@ -132,14 +103,9 @@ fn main() {
         }
         let st = &s.stats;
         // Demand accesses that never touched the shared pager mutex: hits
-        // complete entirely under their shard's lock. (Misses and prefetch
-        // reads must serialise on the pager — that's the disk.)
+        // complete entirely under their shard's lock. (Misses must
+        // serialise on the pager — that's the disk.)
         let avoided = st.hits;
-        let conversion = if s.prefetch_depth == 0 || baseline_misses == 0 {
-            0.0
-        } else {
-            st.prefetch_hits as f64 / baseline_misses as f64
-        };
         let spread = s
             .shard_misses
             .iter()
@@ -147,28 +113,22 @@ fn main() {
             .collect::<Vec<_>>()
             .join(", ");
         rows.push_str(&format!(
-            "    {{\"label\": \"{}\", \"shards\": {}, \"prefetch_depth\": {}, \
+            "    {{\"label\": \"{}\", \"shards\": {}, \
              \"seconds\": {:.6}, \"pairs\": {}, \"accesses\": {}, \"hits\": {}, \
-             \"demand_misses\": {}, \"evictions\": {}, \"prefetch_reads\": {}, \
-             \"prefetch_hits\": {}, \"prefetch_hints\": {}, \"read_copies\": {}, \
+             \"demand_misses\": {}, \"evictions\": {}, \"read_copies\": {}, \
              \"pager_lock_acquisitions\": {}, \"pager_locks_avoided\": {}, \
-             \"miss_conversion_vs_baseline\": {:.4}, \"per_shard_misses\": [{}]}}",
+             \"per_shard_misses\": [{}]}}",
             s.label,
             s.shards,
-            s.prefetch_depth,
             s.seconds,
             s.pairs,
             st.accesses(),
             st.hits,
             st.misses,
             st.evictions,
-            st.prefetch_reads,
-            st.prefetch_hits,
-            s.prefetch_hints,
             st.read_copies,
             st.shared_lock_acquisitions,
             avoided,
-            conversion,
             spread,
         ));
     }
@@ -176,33 +136,19 @@ fn main() {
     let json = format!(
         "{{\n  \"schema_version\": 1,\n  \"benchmark\": \"serial incremental distance join, \
          uniform {n} x {n} points, K = {k} closest pairs, {frames}-frame buffer per tree, \
-         shard-count x prefetch A/B\",\n  \
+         shard counts\",\n  \
          \"host\": {{\"nproc\": {}, \"build_profile\": \"{}\"}},\n  \
-         \"note\": \"single-core wall-clock; all combinations emit the identical stream. \
-         demand_misses of the 1-shard/prefetch-off row is the historical pool's node-I/O \
-         count; prefetch reads are accounted separately from demand misses; \
+         \"note\": \"single-shot serial wall-clock; every shard count emits the identical \
+         stream. demand_misses of the 1-shard row is the historical pool's node-I/O count; \
          pager_locks_avoided counts demand accesses served entirely under one shard's \
          lock, never touching the shared pager mutex (the historical pool serialised \
-         every access on one mutex). Counters, not speedups: this host has {} \
-         CPU(s).\",\n  \
+         every access on one mutex). Counters, not speedups: the join is serial on a \
+         host with {} CPU(s).\",\n  \
          \"samples\": [\n{rows}\n  ]\n}}\n",
         host.nproc, host.build_profile, host.nproc,
     );
     sdj_obs::write_atomic("BENCH_io.json", json.as_bytes()).expect("write BENCH_io.json");
     print!("{json}");
 
-    for s in &samples {
-        if s.prefetch_depth > 0 && s.shards == 1 && baseline_misses > 0 {
-            let conv = s.stats.prefetch_hits as f64 / baseline_misses as f64;
-            eprintln!(
-                "# prefetch conversion at depth {}: {:.1}% of baseline demand misses \
-                 ({} of {})",
-                s.prefetch_depth,
-                conv * 100.0,
-                s.stats.prefetch_hits,
-                baseline_misses
-            );
-        }
-    }
     eprintln!("# wrote BENCH_io.json");
 }

@@ -448,7 +448,7 @@ fn run_report(args: &Args) -> Result<(), String> {
         args.k, args.threads
     );
     let ctx1 = ObsContext::new(sink_for(&rank_rec)).with_pop_sample_every(64);
-    // Buffer-pool counters (hits/misses/evictions/writebacks/prefetch_*)
+    // Buffer-pool counters (hits/misses/evictions/writebacks/faults/retries)
     // land in ctx1's registry and therefore in the report.
     t1.attach_obs(BufferObs::new(&ctx1, "buf.t1"));
     t2.attach_obs(BufferObs::new(&ctx1, "buf.t2"));

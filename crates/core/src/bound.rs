@@ -8,8 +8,8 @@
 //! read the fleet-wide minimum back into their own pruning checks.
 //!
 //! The published values live in the join's *key domain* (squared distances
-//! under the default Euclidean configuration, plain distances otherwise —
-//! see `JoinConfig::key_space`). All workers of a run share one config and
+//! under the Euclidean metric, plain distances otherwise — see
+//! `JoinConfig::key_space`). All workers of a run share one config and
 //! therefore one domain, and the monotone distance → key map preserves the
 //! min, so nothing here needs to know which domain is in use.
 //!

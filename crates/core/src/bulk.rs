@@ -22,7 +22,7 @@
 //!    `lo[0]` and each left entry scans only the window whose axis-0 gap can
 //!    stay within `Dmax` — the same sweep the incremental engine uses for
 //!    simultaneous node expansion, evaluated by the batched [`SoaRects`]
-//!    kernels in the configured key domain (no `sqrt`, and bit-identical
+//!    kernels in the join's key domain (no `sqrt`, and bit-identical
 //!    keys to the incremental path).
 //! 4. **Replicate-and-dedup**: a pair that co-occurs in several cells is
 //!    emitted only by its *owner* cell — the cell containing the reference
@@ -51,9 +51,9 @@ use sdj_geom::{KeySpace, OrdF64, Rect, SoaRects};
 use sdj_obs::{ObsContext, Phase, SpanTimer};
 use sdj_rtree::ObjectId;
 
-use crate::config::{ExpansionPath, JoinConfig, ResultOrder};
+use crate::config::{JoinConfig, ResultOrder};
 use crate::index::{IndexEntry, IndexNode, SpatialIndex};
-use crate::join::{mindist_keys_into, EmissionWatermark, ResultPair};
+use crate::join::{EmissionWatermark, ResultPair};
 use crate::stats::JoinStats;
 
 /// Hard ceiling on the total number of grid cells, shared across any
@@ -288,17 +288,15 @@ impl<const D: usize> Grid<D> {
 /// The bulk partition/plane-sweep distance join.
 ///
 /// Constructed from two [`SpatialIndex`]es (the trees are read once, during
-/// construction) and a [`JoinConfig`]; the range restriction, metric, key
-/// domain, expansion path, `exclude_equal_ids` and `max_pairs` settings all
-/// apply exactly as in the incremental engine. Semi-joins and spatial
-/// selection windows are *not* supported — the planner routes those to the
-/// incremental path.
+/// construction) and a [`JoinConfig`]; the range restriction, metric,
+/// `exclude_equal_ids` and `max_pairs` settings all apply exactly as in the
+/// incremental engine. Semi-joins and spatial selection windows are *not*
+/// supported — the planner routes those to the incremental path.
 #[derive(Debug)]
 pub struct BulkDistanceJoin<const D: usize> {
     config: JoinConfig,
     bulk_config: BulkConfig,
     keys: KeySpace,
-    lanes: bool,
     min_key: f64,
     max_key: f64,
     /// `Dmax` in distance units — the geometric expansion radius.
@@ -386,7 +384,7 @@ impl<const D: usize> BulkDistanceJoin<D> {
         I2: SpatialIndex<D> + ?Sized,
     {
         let mut spans = ctx.and_then(SpanTimer::from_context);
-        config.validate();
+        config.assert_valid();
         if let Some(w) = bulk_config.cell_width {
             assert!(
                 w.is_finite() && w > 0.0,
@@ -432,7 +430,6 @@ impl<const D: usize> BulkDistanceJoin<D> {
             config,
             bulk_config,
             keys,
-            lanes: matches!(config.expansion, ExpansionPath::Lanes),
             min_key: keys.to_key(config.min_distance),
             max_key: keys.to_key(config.max_distance),
             dmax,
@@ -491,7 +488,7 @@ impl<const D: usize> BulkDistanceJoin<D> {
         ctx: Option<&ObsContext>,
     ) -> Self {
         let spans = ctx.and_then(SpanTimer::from_context);
-        config.validate();
+        config.assert_valid();
         if let Some(w) = bulk_config.cell_width {
             assert!(
                 w.is_finite() && w > 0.0,
@@ -541,7 +538,6 @@ impl<const D: usize> BulkDistanceJoin<D> {
             config,
             bulk_config,
             keys,
-            lanes: matches!(config.expansion, ExpansionPath::Lanes),
             min_key: keys.to_key(config.min_distance),
             max_key,
             dmax,
@@ -719,14 +715,9 @@ impl<const D: usize> BulkDistanceJoin<D> {
             if let Some(t) = &mut scratch.spans {
                 t.enter(Phase::Kernel);
             }
-            mindist_keys_into(
-                &scratch.soa2,
-                self.lanes,
-                keys,
-                r1,
-                start..end,
-                &mut scratch.keys_buf,
-            );
+            scratch
+                .soa2
+                .mindist_keys(keys, r1, start..end, &mut scratch.keys_buf);
             if let Some(t) = &mut scratch.spans {
                 t.exit(Phase::Kernel);
             }

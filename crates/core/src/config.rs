@@ -1,5 +1,7 @@
 //! Join configuration: the paper's design space as data.
 
+use std::fmt;
+
 use sdj_geom::Metric;
 use sdj_pqueue::HybridConfig;
 
@@ -57,41 +59,28 @@ pub enum ResultOrder {
     Descending,
 }
 
-/// Domain of the priority-queue keys and every internal pruning bound.
-///
-/// Euclidean distances are monotone in their squares, so ordering pairs by
-/// squared distance pops them in exactly the same order while skipping the
-/// `sqrt` in every MINDIST/MAXDIST/MINMAXDIST evaluation. The single root is
-/// paid when a result is reported. Reported distances are bitwise identical
-/// between the two domains (see `DESIGN.md` §8). Manhattan/Chessboard keys
-/// are identical under both settings.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum KeyDomain {
-    /// Squared Euclidean keys; `sqrt` deferred to result reporting.
-    #[default]
-    Squared,
-    /// Keys are plain distances (the pre-kernel behaviour, kept for A/B
-    /// comparisons).
-    Plain,
+/// Why [`JoinConfig::validate`] rejected a configuration.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ConfigError {
+    /// `min_distance` or `max_distance` is negative or NaN.
+    InvalidBound,
+    /// `min_distance` exceeds `max_distance`.
+    InvertedRange,
+    /// Descending order was combined with a non-memory queue backend.
+    DescendingHybrid,
 }
 
-/// Which implementation computes child bounds during node expansion.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum ExpansionPath {
-    /// Batched struct-of-arrays kernels over a cached per-page `NodeView`
-    /// (`sdj_geom::kernels`): one pass per axis over contiguous `lo`/`hi`
-    /// columns.
-    #[default]
-    Batched,
-    /// Per-entry scalar bound evaluations (the pre-kernel behaviour, kept
-    /// for A/B comparisons).
-    Scalar,
-    /// The batched kernels with their hottest column passes (MINDIST and
-    /// MAXDIST over the expansion/sweep windows) unrolled into explicit
-    /// fixed-width f64 lanes (`sdj_geom::LANE_WIDTH`). Element arithmetic is
-    /// unchanged, so result streams are bit-identical to [`Self::Batched`].
-    Lanes,
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Self::InvalidBound => "distance bounds must be non-negative and not NaN",
+            Self::InvertedRange => "min_distance exceeds max_distance",
+            Self::DescendingHybrid => "descending joins require the memory queue backend",
+        })
+    }
 }
+
+impl std::error::Error for ConfigError {}
 
 /// Full configuration of an incremental distance join.
 #[derive(Clone, Copy, Debug)]
@@ -126,19 +115,6 @@ pub struct JoinConfig {
     /// self-joins such as the all-nearest-neighbours application of §1,
     /// where an object must not be its own nearest neighbour.
     pub exclude_equal_ids: bool,
-    /// Key domain for queue keys and pruning bounds (default: squared
-    /// Euclidean keys, deferring the `sqrt` to result reporting).
-    pub key_domain: KeyDomain,
-    /// Expansion implementation (default: batched SoA kernels).
-    pub expansion: ExpansionPath,
-    /// Queue-driven node prefetch depth: after each expansion, up to this
-    /// many node-child pages from the smallest-key pairs about to enter the
-    /// queue (i.e. nearest its head) are handed to the indexes as batch
-    /// prefetch hints. `0` (the default) disables hinting entirely —
-    /// result streams are identical either way, and prefetch reads are
-    /// counted separately from demand misses, so the node-I/O measure stays
-    /// comparable.
-    pub prefetch_depth: usize,
 }
 
 impl Default for JoinConfig {
@@ -155,9 +131,6 @@ impl Default for JoinConfig {
             estimation: EstimationBound::default(),
             order: ResultOrder::default(),
             exclude_equal_ids: false,
-            key_domain: KeyDomain::default(),
-            expansion: ExpansionPath::default(),
-            prefetch_depth: 0,
         }
     }
 }
@@ -165,24 +138,34 @@ impl Default for JoinConfig {
 impl JoinConfig {
     /// Validates internal consistency.
     ///
+    /// # Errors
+    /// Rejects negative or NaN range bounds, an inverted range, and
+    /// descending order with a hybrid queue (whose disk buckets are keyed by
+    /// non-negative distance).
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        // `!(x >= 0.0)` also catches NaN.
+        if !(self.min_distance >= 0.0 && self.max_distance >= 0.0) {
+            return Err(ConfigError::InvalidBound);
+        }
+        if self.min_distance > self.max_distance {
+            return Err(ConfigError::InvertedRange);
+        }
+        if matches!(self.order, ResultOrder::Descending)
+            && !matches!(self.queue, QueueBackend::Memory)
+        {
+            return Err(ConfigError::DescendingHybrid);
+        }
+        Ok(())
+    }
+
+    /// [`validate`](Self::validate) for the engine constructors, whose
+    /// contract is to panic on an invalid configuration.
+    ///
     /// # Panics
-    /// Panics on invalid combinations (negative range bounds, inverted
-    /// range, descending order with a hybrid queue — whose disk buckets are
-    /// keyed by non-negative distance).
-    pub fn validate(&self) {
-        assert!(
-            self.min_distance >= 0.0 && self.max_distance >= 0.0,
-            "distance bounds must be non-negative"
-        );
-        assert!(
-            self.min_distance <= self.max_distance,
-            "min_distance exceeds max_distance"
-        );
-        if matches!(self.order, ResultOrder::Descending) {
-            assert!(
-                matches!(self.queue, QueueBackend::Memory),
-                "descending joins require the memory queue backend"
-            );
+    /// Panics with the [`ConfigError`] message when `validate` fails.
+    pub(crate) fn assert_valid(&self) {
+        if let Err(e) = self.validate() {
+            panic!("invalid join config: {e}");
         }
     }
 
@@ -201,20 +184,6 @@ impl JoinConfig {
         self
     }
 
-    /// Convenience: select the key domain.
-    #[must_use]
-    pub fn with_key_domain(mut self, key_domain: KeyDomain) -> Self {
-        self.key_domain = key_domain;
-        self
-    }
-
-    /// Convenience: select the expansion implementation.
-    #[must_use]
-    pub fn with_expansion(mut self, expansion: ExpansionPath) -> Self {
-        self.expansion = expansion;
-        self
-    }
-
     /// Convenience: select the queue memory layout.
     #[must_use]
     pub fn with_layout(mut self, layout: QueueLayout) -> Self {
@@ -222,22 +191,13 @@ impl JoinConfig {
         self
     }
 
-    /// Convenience: enable queue-driven node prefetch with the given depth
-    /// (`0` disables it).
-    #[must_use]
-    pub fn with_prefetch(mut self, depth: usize) -> Self {
-        self.prefetch_depth = depth;
-        self
-    }
-
-    /// The key space implied by `metric` and `key_domain`: all queue keys,
-    /// shared bounds, and range restrictions live in this space.
+    /// The key space implied by `metric`: all queue keys, shared bounds, and
+    /// range restrictions live in it. Euclidean keys are squared distances,
+    /// so MINDIST/MAXDIST evaluations skip their `sqrt`; the single root is
+    /// paid when a result is reported (`DESIGN.md` §8).
     #[must_use]
     pub fn key_space(&self) -> sdj_geom::KeySpace {
-        match self.key_domain {
-            KeyDomain::Squared => sdj_geom::KeySpace::squared(self.metric),
-            KeyDomain::Plain => sdj_geom::KeySpace::plain(self.metric),
-        }
+        sdj_geom::KeySpace::squared(self.metric)
     }
 }
 
@@ -252,7 +212,7 @@ mod tests {
         assert_eq!(c.tie, TiePolicy::DepthFirst);
         assert_eq!(c.min_distance, 0.0);
         assert_eq!(c.max_distance, f64::INFINITY);
-        c.validate();
+        assert_eq!(c.validate(), Ok(()));
     }
 
     #[test]
@@ -263,23 +223,30 @@ mod tests {
         assert_eq!(c.min_distance, 1.0);
         assert_eq!(c.max_distance, 5.0);
         assert_eq!(c.max_pairs, Some(10));
-        c.validate();
+        assert_eq!(c.validate(), Ok(()));
     }
 
     #[test]
-    #[should_panic(expected = "min_distance exceeds max_distance")]
     fn inverted_range_rejected() {
-        JoinConfig::default().with_range(5.0, 1.0).validate();
+        let c = JoinConfig::default().with_range(5.0, 1.0);
+        assert_eq!(c.validate(), Err(ConfigError::InvertedRange));
     }
 
     #[test]
-    #[should_panic(expected = "memory queue")]
+    fn negative_and_nan_bounds_rejected() {
+        for (min, max) in [(-1.0, 1.0), (0.0, -1.0), (0.0, f64::NAN), (f64::NAN, 1.0)] {
+            let c = JoinConfig::default().with_range(min, max);
+            assert_eq!(c.validate(), Err(ConfigError::InvalidBound), "{min}..{max}");
+        }
+    }
+
+    #[test]
     fn descending_hybrid_rejected() {
         let c = JoinConfig {
             order: ResultOrder::Descending,
             queue: QueueBackend::Hybrid(HybridConfig::default()),
             ..JoinConfig::default()
         };
-        c.validate();
+        assert_eq!(c.validate(), Err(ConfigError::DescendingHybrid));
     }
 }

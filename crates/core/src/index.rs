@@ -138,20 +138,7 @@ pub trait SpatialIndex<const D: usize> {
     /// Cumulative buffer misses (the node I/O measure); used to report
     /// per-run deltas.
     fn io_misses(&self) -> u64;
-
-    /// Hints that the given nodes are likely to be read soon.
-    ///
-    /// Implementations backed by a buffer pool fault absent pages in and
-    /// count them as *prefetch reads*, never as demand misses, so hinting
-    /// must not perturb [`SpatialIndex::io_misses`]. Best-effort: hints may
-    /// be ignored (the default does exactly that) and stale ids must not
-    /// fail the join.
-    fn prefetch_nodes(&self, _ids: &[NodeId]) {}
 }
-
-/// Chunk size for translating [`NodeId`] hints into page-id batches without
-/// allocating.
-const PREFETCH_CHUNK: usize = 16;
 
 impl<const D: usize> SpatialIndex<D> for RTree<D> {
     const MINIMAL_REGIONS: bool = true;
@@ -210,25 +197,6 @@ impl<const D: usize> SpatialIndex<D> for RTree<D> {
 
     fn io_misses(&self) -> u64 {
         self.io_stats().misses
-    }
-
-    fn prefetch_nodes(&self, ids: &[NodeId]) {
-        // Prefetching is best-effort by contract ("stale ids must not fail
-        // the join"), so ids that don't fit a u32 page are skipped, not
-        // reported.
-        let mut pages = [PageId::INVALID; PREFETCH_CHUNK];
-        for chunk in ids.chunks(PREFETCH_CHUNK) {
-            let mut n = 0;
-            for &id in chunk {
-                if let Ok(page) = u32::try_from(id) {
-                    pages[n] = PageId(page);
-                    n += 1;
-                }
-            }
-            if n > 0 {
-                self.prefetch_pages(&pages[..n]);
-            }
-        }
     }
 }
 

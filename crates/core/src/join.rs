@@ -18,12 +18,12 @@
 //! All internal distances — queue keys, range restrictions, estimator and
 //! semi-join bounds, the shared cross-worker bound — live in the
 //! configuration's *key space* ([`JoinConfig::key_space`]). Under the
-//! default [`crate::config::KeyDomain::Squared`] these are squared Euclidean
-//! distances: the monotone `x ↦ x²` map preserves every comparison, so the
-//! pop order is untouched while MINDIST/MAXDIST evaluations skip their
-//! `sqrt`. The single root per result is paid in [`DistanceJoin::report`],
-//! and reported distances are bitwise identical to a plain-domain run
-//! (`DESIGN.md` §8 gives the argument).
+//! Euclidean metric these are squared distances: the monotone `x ↦ x²` map
+//! preserves every comparison, so the pop order is untouched while
+//! MINDIST/MAXDIST evaluations skip their `sqrt`. The single root per result
+//! is paid in [`DistanceJoin::report`], and each reported distance is
+//! bitwise the one a plain-distance key would give (`DESIGN.md` §8 gives
+//! the argument).
 
 use sdj_geom::{KeySpace, Rect, SoaRects};
 use sdj_obs::{ObsContext, PairKind, Phase, Side};
@@ -31,9 +31,9 @@ use sdj_rtree::{ObjectId, RTree};
 use sdj_storage::StorageError;
 
 use crate::bound::SharedDistanceBound;
-use crate::config::{EstimationBound, ExpansionPath, JoinConfig, ResultOrder, TraversalPolicy};
+use crate::config::{EstimationBound, JoinConfig, ResultOrder, TraversalPolicy};
 use crate::estimate::{Estimator, EstimatorMode};
-use crate::index::{IndexEntry, IndexNode, NodeId, SpatialIndex};
+use crate::index::{IndexEntry, NodeId, SpatialIndex};
 use crate::obs::JoinObs;
 use crate::oracle::{DistanceOracle, MbrOracle};
 use crate::pair::{Item, Pair, PairKey};
@@ -41,43 +41,6 @@ use crate::queue::JoinQueue;
 use crate::semi::{SeenSet, SemiConfig, SemiState};
 use crate::stats::JoinStats;
 use crate::view::{NodeView, ViewCache, VIEW_CACHE_CAP};
-
-/// Routes a MINDIST column pass by expansion path: `lanes` selects the
-/// explicit fixed-width lane kernel ([`ExpansionPath::Lanes`]), otherwise the
-/// plain batched kernel runs. Both produce identical bits, so every caller
-/// (expansion, sweep windows, the bulk executor) is free to A/B them.
-#[inline]
-pub(crate) fn mindist_keys_into<const D: usize>(
-    soa: &SoaRects<D>,
-    lanes: bool,
-    keys: KeySpace,
-    q: &Rect<D>,
-    range: std::ops::Range<usize>,
-    out: &mut Vec<f64>,
-) {
-    if lanes {
-        soa.mindist_keys_lanes(keys, q, range, out);
-    } else {
-        soa.mindist_keys(keys, q, range, out);
-    }
-}
-
-/// [`mindist_keys_into`] for the MAXDIST column pass.
-#[inline]
-pub(crate) fn maxdist_keys_into<const D: usize>(
-    soa: &SoaRects<D>,
-    lanes: bool,
-    keys: KeySpace,
-    q: &Rect<D>,
-    range: std::ops::Range<usize>,
-    out: &mut Vec<f64>,
-) {
-    if lanes {
-        soa.maxdist_keys_lanes(keys, q, range, out);
-    } else {
-        soa.maxdist_keys(keys, q, range, out);
-    }
-}
 
 /// One result of a distance join: a pair of objects and their distance.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -149,10 +112,6 @@ where
     /// Per-side caches of decoded struct-of-arrays node views.
     views1: ViewCache<D>,
     views2: ViewCache<D>,
-    /// Scratch page batches for queue-driven prefetch hints, one per side,
-    /// handed to [`SpatialIndex::prefetch_nodes`].
-    scratch_hints: Vec<NodeId>,
-    scratch_hint_pages: Vec<NodeId>,
     /// Emission watermark, maintained only when the adaptive driver enables
     /// it ([`DistanceJoin::track_watermark`]); `None` keeps the result path
     /// free of the extra bookkeeping.
@@ -213,8 +172,8 @@ pub struct JoinFrontier<const D: usize> {
     pub seen: Option<SeenSet>,
     /// Tightest maximum distance proven at the split point (query bound and
     /// estimator); seeds a parallel run's shared bound. Expressed in the
-    /// join's key domain (squared under the default squared Euclidean keys),
-    /// matching what resumed workers compare queue keys against.
+    /// join's key domain (squared under the Euclidean metric), matching
+    /// what resumed workers compare queue keys against.
     pub dmax_hint: f64,
     /// Results still owed after the prefix, when `max_pairs` was set.
     pub remaining_pairs: Option<u64>,
@@ -234,6 +193,10 @@ where
 {
     /// Starts a distance join over two indexes whose objects are stored
     /// directly in the leaves (points or rectangles).
+    ///
+    /// # Panics
+    /// Panics when `config` fails [`JoinConfig::validate`]; callers holding
+    /// untrusted configs validate first.
     #[must_use]
     pub fn new(tree1: &'a I1, tree2: &'a I2, config: JoinConfig) -> Self {
         Self::with_oracle(tree1, tree2, MbrOracle, config)
@@ -241,6 +204,9 @@ where
 
     /// Starts a distance semi-join ("for each object of `tree1`, its nearest
     /// partner in `tree2`, streamed in distance order").
+    ///
+    /// # Panics
+    /// Panics when `config` fails [`JoinConfig::validate`].
     #[must_use]
     pub fn semi(tree1: &'a I1, tree2: &'a I2, config: JoinConfig, semi: SemiConfig) -> Self {
         Self::semi_with_oracle(tree1, tree2, MbrOracle, config, semi)
@@ -293,7 +259,7 @@ where
         config: JoinConfig,
         semi_config: Option<SemiConfig>,
     ) -> Self {
-        config.validate();
+        config.assert_valid();
         let semi = semi_config.map(|mut sc| {
             if !matches!(sc.dmax, crate::semi::DmaxStrategy::None) {
                 // The paper's d_max strategies all build on Inside2
@@ -352,8 +318,6 @@ where
             scratch_soa2: SoaRects::default(),
             views1: ViewCache::new(VIEW_CACHE_CAP),
             views2: ViewCache::new(VIEW_CACHE_CAP),
-            scratch_hints: Vec::new(),
-            scratch_hint_pages: Vec::new(),
             watermark: None,
         }
     }
@@ -739,12 +703,6 @@ where
 
     /// The tightest known maximum key (query bound, estimator, and — for
     /// ascending runs — the cross-worker shared bound), in the key domain.
-    /// True when the lane-unrolled column kernels are selected
-    /// ([`ExpansionPath::Lanes`]).
-    fn lanes(&self) -> bool {
-        matches!(self.config.expansion, ExpansionPath::Lanes)
-    }
-
     pub(crate) fn effective_max_key(&self) -> f64 {
         let mut max = match &self.estimator {
             Some(est) => self.max_key.min(est.current_dmax()),
@@ -958,19 +916,8 @@ where
         }
     }
 
-    fn read_node1(&mut self, id: NodeId) -> sdj_storage::Result<IndexNode<D>> {
-        self.stats.node_accesses += 1;
-        self.tree1.read_node(id)
-    }
-
-    fn read_node2(&mut self, id: NodeId) -> sdj_storage::Result<IndexNode<D>> {
-        self.stats.node_accesses += 1;
-        self.tree2.read_node(id)
-    }
-
     /// Checks the first tree's node `id` out of the view cache (decoding it
-    /// only on a miss). Counted as a logical node access like
-    /// [`read_node1`](Self::read_node1).
+    /// only on a miss). Counted as a logical node access.
     fn checkout1(&mut self, id: NodeId) -> sdj_storage::Result<NodeView<D>> {
         self.stats.node_accesses += 1;
         let tree = self.tree1;
@@ -1214,12 +1161,7 @@ where
     /// `first_side`, pairing its entries with the other item.
     fn expand_one(&mut self, pair: &Pair<D>, first_side: bool) -> sdj_storage::Result<()> {
         self.span_enter(Phase::Expand);
-        let r = match self.config.expansion {
-            ExpansionPath::Batched | ExpansionPath::Lanes => {
-                self.expand_one_batched(pair, first_side)
-            }
-            ExpansionPath::Scalar => self.expand_one_scalar(pair, first_side),
-        };
+        let r = self.expand_one_inner(pair, first_side);
         self.span_exit(Phase::Expand);
         r
     }
@@ -1227,7 +1169,7 @@ where
     /// [`expand_one`](Self::expand_one) over a cached struct-of-arrays node
     /// view: the MINDIST keys of all children against the other item come
     /// from one batched kernel pass per axis.
-    fn expand_one_batched(&mut self, pair: &Pair<D>, first_side: bool) -> sdj_storage::Result<()> {
+    fn expand_one_inner(&mut self, pair: &Pair<D>, first_side: bool) -> sdj_storage::Result<()> {
         let (node_item, other_item) = if first_side {
             (&pair.item1, &pair.item2)
         } else {
@@ -1260,11 +1202,11 @@ where
             };
             obs.on_expand(side, n as u32);
         }
-        let lanes = self.lanes();
         let mut minds = std::mem::take(&mut self.scratch_keys);
         minds.clear();
         self.span_enter(Phase::Kernel);
-        mindist_keys_into(&view.rects, lanes, keys, other.rect(), 0..n, &mut minds);
+        view.rects
+            .mindist_keys(keys, other.rect(), 0..n, &mut minds);
         self.span_exit(Phase::Kernel);
         self.stats.distance_calcs += n as u64;
 
@@ -1359,136 +1301,12 @@ where
         Ok(())
     }
 
-    /// [`expand_one`](Self::expand_one) with per-entry scalar bound
-    /// evaluations — the pre-kernel behaviour, selectable for A/B runs via
-    /// [`ExpansionPath::Scalar`].
-    fn expand_one_scalar(&mut self, pair: &Pair<D>, first_side: bool) -> sdj_storage::Result<()> {
-        let (node_item, other_item) = if first_side {
-            (&pair.item1, &pair.item2)
-        } else {
-            (&pair.item2, &pair.item1)
-        };
-        let Item::Node { page, .. } = *node_item else {
-            unreachable!("expand_one on a non-node item")
-        };
-        let other = *other_item;
-
-        if first_side {
-            // Semi-join estimation: the first-side node is being processed,
-            // so its own M entry must not coexist with its children's.
-            if self.semi.is_some() {
-                if let Some(est) = &mut self.estimator {
-                    est.on_expand_item1(pair.item1.identity());
-                }
-            }
-            let inherited = self
-                .semi
-                .as_ref()
-                .and_then(|s| s.bound_for(pair.item1.identity()));
-            let node = self.read_node1(page)?;
-            if let Some(obs) = &mut self.obs {
-                obs.on_expand(Side::First, node.entries.len() as u32);
-            }
-            for entry in &node.entries {
-                let child = Self::child_item(entry);
-                if let Some(oid) = child.object_id() {
-                    if self
-                        .semi
-                        .as_ref()
-                        .is_some_and(|s| s.filters_on_expand() && s.seen.contains(oid.0))
-                    {
-                        self.stats.filtered_seen += 1;
-                        continue;
-                    }
-                }
-                let child_pair = Pair::new(child, other);
-                // Global bound maintenance: children inherit their parent's
-                // bound and may tighten it with their own pair's d_max.
-                let global = self.semi.as_ref().is_some_and(|s| {
-                    matches!(
-                        s.config.dmax,
-                        crate::semi::DmaxStrategy::GlobalNodes
-                            | crate::semi::DmaxStrategy::GlobalAll
-                    )
-                });
-                if global {
-                    let own = self.semi_dmax_bound(&child_pair);
-                    let bound = inherited.map_or(own, |b| b.min(own));
-                    if let Some(semi) = &mut self.semi {
-                        if semi.update_bound(child.identity(), bound) {
-                            if let Some(obs) = &mut self.obs {
-                                obs.on_semi_bound();
-                            }
-                        }
-                    }
-                }
-                self.consider(child_pair, None);
-            }
-        } else {
-            let node = self.read_node2(page)?;
-            if let Some(obs) = &mut self.obs {
-                obs.on_expand(Side::Second, node.entries.len() as u32);
-            }
-            let item1 = pair.item1;
-            let local = self.semi.as_ref().is_some_and(SemiState::uses_local_bound);
-            if local {
-                // Two passes: first compute per-child distances and d_max
-                // bounds to find the smallest bound, then prune siblings
-                // that cannot beat it (§4.2.1 "Local"). The children buffer
-                // is owned by the join and reused across expansions.
-                let keys = self.keys;
-                let mut children = std::mem::take(&mut self.scratch_children);
-                children.clear();
-                children.reserve(node.entries.len());
-                let mut best_bound = f64::INFINITY;
-                for entry in &node.entries {
-                    let child = Self::child_item(entry);
-                    let child_pair = Pair::new(item1, child);
-                    self.stats.distance_calcs += 1;
-                    let mind = child_pair.mindist_key(keys);
-                    let bound = self.semi_dmax_bound(&child_pair);
-                    best_bound = best_bound.min(bound);
-                    children.push((child_pair, mind));
-                }
-                if let Some(semi) = &mut self.semi {
-                    if semi.update_bound(item1.identity(), best_bound) {
-                        if let Some(obs) = &mut self.obs {
-                            obs.on_semi_bound();
-                        }
-                    }
-                }
-                let effective = self
-                    .semi
-                    .as_ref()
-                    .and_then(|s| s.bound_for(item1.identity()))
-                    .map_or(best_bound, |b| b.min(best_bound));
-                for &(child_pair, mind) in &children {
-                    if mind > effective {
-                        self.stats.pruned_by_dmax += 1;
-                        continue;
-                    }
-                    self.consider(child_pair, Some(mind));
-                }
-                self.scratch_children = children;
-            } else {
-                for entry in &node.entries {
-                    let child = Self::child_item(entry);
-                    self.consider(Pair::new(item1, child), None);
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// "Simultaneous" expansion of a node/node pair (§2.2.2): both nodes are
     /// opened and their entries paired with a plane sweep restricted by the
     /// distance range.
     fn expand_both(&mut self, pair: &Pair<D>) -> sdj_storage::Result<()> {
         self.span_enter(Phase::Expand);
-        let r = match self.config.expansion {
-            ExpansionPath::Batched | ExpansionPath::Lanes => self.expand_both_batched(pair),
-            ExpansionPath::Scalar => self.expand_both_scalar(pair),
-        };
+        let r = self.expand_both_inner(pair);
         self.span_exit(Phase::Expand);
         r
     }
@@ -1496,7 +1314,7 @@ where
     /// [`expand_both`](Self::expand_both) over cached struct-of-arrays node
     /// views: the range-restriction filters and the per-window MINDIST keys
     /// of the plane sweep all come from batched kernel passes.
-    fn expand_both_batched(&mut self, pair: &Pair<D>) -> sdj_storage::Result<()> {
+    fn expand_both_inner(&mut self, pair: &Pair<D>) -> sdj_storage::Result<()> {
         let (Item::Node { page: p1, .. }, Item::Node { page: p2, .. }) = (&pair.item1, &pair.item2)
         else {
             unreachable!("expand_both on a non-node pair")
@@ -1519,7 +1337,6 @@ where
             obs.on_expand(Side::Both, (view1.rects.len() + view2.rects.len()) as u32);
         }
         let keys = self.keys;
-        let lanes = self.lanes();
         let eff_max = if self.ascending() {
             self.effective_max_key()
         } else {
@@ -1542,10 +1359,10 @@ where
         let n1 = view1.rects.len();
         minds.clear();
         self.span_enter(Phase::Kernel);
-        mindist_keys_into(&view1.rects, lanes, keys, r2, 0..n1, &mut minds);
+        view1.rects.mindist_keys(keys, r2, 0..n1, &mut minds);
         if min_key > 0.0 {
             maxds.clear();
-            maxdist_keys_into(&view1.rects, lanes, keys, r2, 0..n1, &mut maxds);
+            view1.rects.maxdist_keys(keys, r2, 0..n1, &mut maxds);
             self.stats.distance_calcs += n1 as u64;
         }
         self.span_exit(Phase::Kernel);
@@ -1578,10 +1395,10 @@ where
         let n2 = view2.rects.len();
         minds.clear();
         self.span_enter(Phase::Kernel);
-        mindist_keys_into(&view2.rects, lanes, keys, r1, 0..n2, &mut minds);
+        view2.rects.mindist_keys(keys, r1, 0..n2, &mut minds);
         if min_key > 0.0 {
             maxds.clear();
-            maxdist_keys_into(&view2.rects, lanes, keys, r1, 0..n2, &mut maxds);
+            view2.rects.maxdist_keys(keys, r1, 0..n2, &mut maxds);
             self.stats.distance_calcs += n2 as u64;
         }
         self.span_exit(Phase::Kernel);
@@ -1649,7 +1466,7 @@ where
             }
             minds.clear();
             self.span_enter(Phase::Kernel);
-            mindist_keys_into(&soa2, lanes, keys, e1.rect(), start..end, &mut minds);
+            soa2.mindist_keys(keys, e1.rect(), start..end, &mut minds);
             self.span_exit(Phase::Kernel);
             self.stats.distance_calcs += (end - start) as u64;
             let c1 = Self::child_item(e1);
@@ -1664,120 +1481,6 @@ where
         self.scratch_entries1 = entries1;
         self.scratch_entries2 = entries2;
         self.scratch_soa2 = soa2;
-        Ok(())
-    }
-
-    /// [`expand_both`](Self::expand_both) with per-entry scalar bound
-    /// evaluations — the pre-kernel behaviour, selectable for A/B runs via
-    /// [`ExpansionPath::Scalar`].
-    fn expand_both_scalar(&mut self, pair: &Pair<D>) -> sdj_storage::Result<()> {
-        let (Item::Node { page: p1, .. }, Item::Node { page: p2, .. }) = (&pair.item1, &pair.item2)
-        else {
-            unreachable!("expand_both on a non-node pair")
-        };
-        if self.semi.is_some() {
-            if let Some(est) = &mut self.estimator {
-                est.on_expand_item1(pair.item1.identity());
-            }
-        }
-        let node1 = self.read_node1(*p1)?;
-        let node2 = self.read_node2(*p2)?;
-        if let Some(obs) = &mut self.obs {
-            obs.on_expand(
-                Side::Both,
-                (node1.entries.len() + node2.entries.len()) as u32,
-            );
-        }
-        let keys = self.keys;
-        let eff_max = if self.ascending() {
-            self.effective_max_key()
-        } else {
-            f64::INFINITY
-        };
-        let min_key = self.min_key;
-
-        // Restriction of the search space: drop entries that are out of
-        // range with respect to the space spanned by the other node. The
-        // entry buffers are owned by the join and reused across expansions
-        // (entries are `Copy`, so they can outlive the node reads).
-        let r2 = pair.item2.rect();
-        let mut entries1 = std::mem::take(&mut self.scratch_entries1);
-        entries1.clear();
-        entries1.reserve(node1.entries.len());
-        for e in &node1.entries {
-            self.stats.distance_calcs += 1;
-            if keys.mindist_rect_rect(e.rect(), r2) > eff_max {
-                self.stats.pruned_by_range += 1;
-                continue;
-            }
-            if min_key > 0.0 {
-                self.stats.distance_calcs += 1;
-                if keys.maxdist_rect_rect(e.rect(), r2) < min_key {
-                    self.stats.pruned_by_range += 1;
-                    continue;
-                }
-            }
-            if let Some(oid) = e.object_id() {
-                if self
-                    .semi
-                    .as_ref()
-                    .is_some_and(|s| s.filters_on_expand() && s.seen.contains(oid.0))
-                {
-                    self.stats.filtered_seen += 1;
-                    continue;
-                }
-            }
-            entries1.push(*e);
-        }
-        let r1 = pair.item1.rect();
-        let mut entries2 = std::mem::take(&mut self.scratch_entries2);
-        entries2.clear();
-        entries2.reserve(node2.entries.len());
-        for e in &node2.entries {
-            self.stats.distance_calcs += 1;
-            if keys.mindist_rect_rect(e.rect(), r1) > eff_max {
-                self.stats.pruned_by_range += 1;
-                continue;
-            }
-            if min_key > 0.0 {
-                self.stats.distance_calcs += 1;
-                if keys.maxdist_rect_rect(e.rect(), r1) < min_key {
-                    self.stats.pruned_by_range += 1;
-                    continue;
-                }
-            }
-            entries2.push(*e);
-        }
-
-        // Plane sweep along axis 0, with the same key-domain window bounds
-        // as the batched path (see `expand_both_batched`).
-        // `total_cmp` keeps the sweep well-defined even if a corrupt page
-        // decoded to a NaN coordinate (NaNs sort last; the pair is still
-        // pruned or reported by the distance kernels, never a panic).
-        entries2.sort_by(|a, b| a.rect().lo()[0].total_cmp(&b.rect().lo()[0]));
-        let max_width2 = entries2
-            .iter()
-            .map(|e| e.rect().extent(0))
-            .fold(0.0f64, f64::max);
-        for e1 in &entries1 {
-            let e1_lo = e1.rect().lo()[0];
-            let e1_hi = e1.rect().hi()[0];
-            let start = entries2.partition_point(|e| {
-                let t = e1_lo - e.rect().lo()[0] - max_width2;
-                t > 0.0 && keys.axis_gap_exceeds(t, eff_max)
-            });
-            for e2 in &entries2[start..] {
-                let t = e2.rect().lo()[0] - e1_hi;
-                if t > 0.0 && keys.axis_gap_exceeds(t, eff_max) {
-                    break;
-                }
-                let c1 = Self::child_item(e1);
-                let c2 = Self::child_item(e2);
-                self.consider(Pair::new(c1, c2), None);
-            }
-        }
-        self.scratch_entries1 = entries1;
-        self.scratch_entries2 = entries2;
         Ok(())
     }
 
@@ -1847,45 +1550,7 @@ where
             // it happened first and the flush ran on its partial state).
             flushed?;
         }
-        if self.config.prefetch_depth > 0 {
-            self.emit_prefetch_hints();
-        }
         outcome
-    }
-
-    /// Queue-driven prefetch (run right after the staged pairs are flushed,
-    /// so the queue reflects the true frontier): visits up to
-    /// `prefetch_depth` pairs nearest the head of the priority queue — the
-    /// pairs the next steps will pop — and hands their node pages to the
-    /// indexes as batch hints. Hints only touch buffer-pool state (prefetch
-    /// reads, counted apart from demand misses), never the result stream.
-    fn emit_prefetch_hints(&mut self) {
-        let mut pages1 = std::mem::take(&mut self.scratch_hints);
-        let mut pages2 = std::mem::take(&mut self.scratch_hint_pages);
-        pages1.clear();
-        pages2.clear();
-        self.queue.peek_top(self.config.prefetch_depth, |_, pair| {
-            if let Item::Node { page, .. } = pair.item1 {
-                pages1.push(page);
-            }
-            if let Item::Node { page, .. } = pair.item2 {
-                pages2.push(page);
-            }
-        });
-        pages1.sort_unstable();
-        pages1.dedup();
-        if !pages1.is_empty() {
-            self.stats.prefetch_hints += pages1.len() as u64;
-            self.tree1.prefetch_nodes(&pages1);
-        }
-        pages2.sort_unstable();
-        pages2.dedup();
-        if !pages2.is_empty() {
-            self.stats.prefetch_hints += pages2.len() as u64;
-            self.tree2.prefetch_nodes(&pages2);
-        }
-        self.scratch_hints = pages1;
-        self.scratch_hint_pages = pages2;
     }
 
     /// One iteration of the algorithm's main loop (Figure 3).

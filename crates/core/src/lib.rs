@@ -81,8 +81,8 @@ pub use adaptive::{
 pub use bound::SharedDistanceBound;
 pub use bulk::{BulkConfig, BulkDistanceJoin, BulkHit, BulkStats, CellScratch, CellTally};
 pub use config::{
-    EstimationBound, ExpansionPath, JoinConfig, KeyDomain, QueueBackend, QueueLayout, ResultOrder,
-    TiePolicy, TraversalPolicy,
+    ConfigError, EstimationBound, JoinConfig, QueueBackend, QueueLayout, ResultOrder, TiePolicy,
+    TraversalPolicy,
 };
 pub use estimate::{Estimator, EstimatorMode};
 pub use index::{IndexEntry, IndexNode, NodeId, SpatialIndex};

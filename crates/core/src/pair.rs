@@ -193,8 +193,8 @@ pub enum TiePolicy {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct PairKey {
     /// Key-domain distance between the pair's items (MINDIST for ascending
-    /// joins, negated MAXDIST for descending ones). Under the default
-    /// squared Euclidean key domain this is a *squared* distance; the join
+    /// joins, negated MAXDIST for descending ones). Under the Euclidean
+    /// metric's squared key domain this is a *squared* distance; the join
     /// converts back with one `sqrt` when it reports a result.
     pub dist: OrdF64,
     /// Tie rank: smaller pops first.

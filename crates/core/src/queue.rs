@@ -299,24 +299,6 @@ impl<const D: usize> JoinQueue<D> {
         }
     }
 
-    /// Visits up to `limit` entries near the head of the queue (see
-    /// [`PairingHeap::peek_top`]): the minimum first, then subtree minima in
-    /// breadth-first order. Memory backends only — the hybrid backends' head
-    /// tier is reorganised on access, so peeking it is not side-effect-free;
-    /// they simply get no prefetch hints. The flat layout materialises each
-    /// visited pair from the arena.
-    pub fn peek_top(&self, limit: usize, mut visit: impl FnMut(&PairKey, &Pair<D>)) {
-        match &self.backend {
-            Backend::Pairing(q) => q.peek_top(limit, visit),
-            Backend::Flat { heap, arena } => {
-                heap.peek_top(limit, |key, packed| {
-                    visit(&key, &arena.resolve_pair(*packed));
-                });
-            }
-            Backend::HybridPairing(_) | Backend::HybridFlat { .. } => {}
-        }
-    }
-
     /// Disk traffic of the hybrid backends (zeros for the memory backends).
     #[must_use]
     pub fn disk_stats(&self) -> DiskStats {

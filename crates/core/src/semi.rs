@@ -140,7 +140,7 @@ impl SemiState {
 
     /// The global upper bound applicable to pairs led by `item1`, if the
     /// strategy tracks it. Bounds live in the join's key domain (squared
-    /// distances under the default Euclidean configuration): the engine
+    /// distances under the Euclidean metric): the engine
     /// stores and compares them against MINDIST keys without conversion.
     pub fn bound_for(&self, item1: ItemId) -> Option<f64> {
         match (self.config.dmax, item1) {

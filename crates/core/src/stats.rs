@@ -40,17 +40,13 @@ pub struct JoinStats {
     pub filtered_seen: u64,
     /// Self-pairs dropped by `exclude_equal_ids` (self-join applications).
     pub filtered_self: u64,
-    /// Key-to-distance conversions (`sqrt` under the squared Euclidean key
-    /// domain). With the default squared keys this equals the number of
-    /// reported results: every internal bound, prune, and queue key stays in
-    /// the sqrt-free key domain, so the root is paid exactly once per
-    /// emitted pair. Always zero under a plain key domain.
+    /// Key-to-distance conversions (`sqrt` under the Euclidean metric,
+    /// whose keys are squared distances). For Euclidean joins this equals
+    /// the number of reported results: every internal bound, prune, and
+    /// queue key stays in the sqrt-free key domain, so the root is paid
+    /// exactly once per emitted pair. Always zero for Manhattan and
+    /// Chessboard, whose keys are plain distances.
     pub sqrt_calls: u64,
-    /// Node pages handed to the indexes as queue-driven prefetch hints
-    /// (zero unless `JoinConfig::prefetch_depth` is set). Whether a hint
-    /// became an actual prefetch read or hit is counted by the buffer pool,
-    /// not here.
-    pub prefetch_hints: u64,
 }
 
 impl JoinStats {
@@ -84,7 +80,6 @@ impl JoinStats {
         self.filtered_seen += other.filtered_seen;
         self.filtered_self += other.filtered_self;
         self.sqrt_calls += other.sqrt_calls;
-        self.prefetch_hints += other.prefetch_hints;
     }
 }
 

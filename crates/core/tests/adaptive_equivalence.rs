@@ -19,8 +19,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use sdj_core::bulk::BulkConfig;
 use sdj_core::{
-    AdaptiveConfig, AdaptiveDistanceJoin, AdaptiveOutcome, DistanceJoin, ExpansionPath, JoinConfig,
-    QueueBackend,
+    AdaptiveConfig, AdaptiveDistanceJoin, AdaptiveOutcome, DistanceJoin, JoinConfig, QueueBackend,
 };
 use sdj_geom::{Metric, Rect};
 use sdj_pqueue::{HybridConfig, KeyScale};
@@ -74,7 +73,6 @@ struct Case {
     range: Option<(f64, f64)>,
     max_pairs: Option<u64>,
     exclude_equal_ids: bool,
-    lanes: bool,
     hybrid_dt: Option<f64>,
     /// Pop count the handoff is forced at: 0 = before the first pop; large
     /// values exercise "after the last result" and "never fires".
@@ -96,7 +94,6 @@ fn arb_case() -> impl Strategy<Value = Case> {
         prop::option::of((0.0..4.0f64, 0.0..10.0f64)),
         prop::option::of(1u64..50),
         any::<bool>(),
-        any::<bool>(),
         prop::option::of(0.05..0.5f64),
         (
             prop_oneof![Just(0u64), 1u64..300, 2_000u64..1_000_000],
@@ -112,7 +109,6 @@ fn arb_case() -> impl Strategy<Value = Case> {
                 range,
                 max_pairs,
                 exclude_equal_ids,
-                lanes,
                 hybrid_dt,
                 (force_at, pop_stride),
             )| Case {
@@ -123,7 +119,6 @@ fn arb_case() -> impl Strategy<Value = Case> {
                 range: range.map(|(lo, w)| (lo, lo + w)),
                 max_pairs,
                 exclude_equal_ids,
-                lanes,
                 hybrid_dt,
                 force_at,
                 pop_stride,
@@ -143,9 +138,6 @@ fn config_of(case: &Case) -> JoinConfig {
     }
     if let Some(k) = case.max_pairs {
         config.max_pairs = Some(k);
-    }
-    if case.lanes {
-        config = config.with_expansion(ExpansionPath::Lanes);
     }
     config
 }
@@ -324,7 +316,6 @@ proptest! {
             range: None,
             max_pairs: None,
             exclude_equal_ids: false,
-            lanes: false,
             hybrid_dt: dt,
             force_at,
             pop_stride: stride,
@@ -395,7 +386,6 @@ fn handoff_before_first_pop_matches_incremental() {
         range: Some((0.0, 1.1)),
         max_pairs: None,
         exclude_equal_ids: true,
-        lanes: false,
         hybrid_dt: None,
         force_at: 0,
         pop_stride: 4096,
@@ -427,7 +417,6 @@ fn handoff_beyond_exhaustion_is_pure_incremental() {
         range: Some((0.0, 2.0)),
         max_pairs: Some(40),
         exclude_equal_ids: false,
-        lanes: false,
         hybrid_dt: None,
         force_at: u64::MAX,
         pop_stride: 64,
@@ -457,7 +446,6 @@ fn stop_after_truncates_across_the_handoff() {
             range: None,
             max_pairs: Some(64),
             exclude_equal_ids: true,
-            lanes: false,
             hybrid_dt: None,
             force_at,
             pop_stride: 16,
@@ -490,7 +478,6 @@ fn signals_record_the_single_switch() {
         range: Some((0.0, 1.5)),
         max_pairs: None,
         exclude_equal_ids: true,
-        lanes: false,
         hybrid_dt: None,
         force_at: 40,
         pop_stride: 8,

@@ -14,7 +14,7 @@
 
 use proptest::prelude::*;
 use sdj_core::bulk::{BulkConfig, BulkDistanceJoin};
-use sdj_core::{DistanceJoin, ExpansionPath, JoinConfig, ResultOrder};
+use sdj_core::{DistanceJoin, JoinConfig, ResultOrder};
 use sdj_geom::{Metric, Rect};
 use sdj_rtree::{ObjectId, RTree, RTreeConfig};
 
@@ -55,7 +55,6 @@ struct Case {
     max_pairs: Option<u64>,
     descending: bool,
     exclude_equal_ids: bool,
-    lanes: bool,
     cell_width: Option<f64>,
 }
 
@@ -74,7 +73,6 @@ fn arb_case() -> impl Strategy<Value = Case> {
         prop::option::of(1u64..50),
         any::<bool>(),
         any::<bool>(),
-        any::<bool>(),
         prop::option::of(0.05..6.0f64),
     )
         .prop_map(
@@ -87,7 +85,6 @@ fn arb_case() -> impl Strategy<Value = Case> {
                 max_pairs,
                 descending,
                 exclude_equal_ids,
-                lanes,
                 cell_width,
             )| Case {
                 a,
@@ -98,7 +95,6 @@ fn arb_case() -> impl Strategy<Value = Case> {
                 max_pairs,
                 descending,
                 exclude_equal_ids,
-                lanes,
                 cell_width,
             },
         )
@@ -118,9 +114,6 @@ fn config_of(case: &Case) -> JoinConfig {
     }
     if case.descending {
         config.order = ResultOrder::Descending;
-    }
-    if case.lanes {
-        config = config.with_expansion(ExpansionPath::Lanes);
     }
     config
 }

@@ -18,8 +18,8 @@
 //!    bits — seeded from the frontier's proven maximum distance *key*; each
 //!    worker publishes its estimator's bound to it and prunes against the
 //!    fleet-wide minimum. All workers run the same [`JoinConfig`], hence the
-//!    same key domain (squared distances under the default Euclidean
-//!    configuration), so published keys compare consistently without ever
+//!    same key domain (squared distances under the Euclidean metric), so
+//!    published keys compare consistently without ever
 //!    leaving the domain. A bound proven by one shard ("the K results still
 //!    owed all lie within `d`") holds globally, because the merged result
 //!    set dominates any single shard's.

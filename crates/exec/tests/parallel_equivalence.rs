@@ -376,67 +376,6 @@ fn shard_counts_are_stream_invisible() {
     }
 }
 
-/// Queue-driven prefetch must never change the result stream. With an
-/// eviction-free buffer its I/O accounting obeys an exact conservation law:
-/// every demand miss it removes reappears as a prefetch-satisfied hit
-/// (`misses_on + prefetch_hits == misses_off`), so the paper's node-I/O
-/// measure stays reconstructable with prefetch enabled.
-#[test]
-fn prefetch_is_stream_invisible_and_conserves_io() {
-    let a = uniform(300, 91);
-    let b = uniform(350, 92);
-    let roomy_tree = |points: &[Point<2>], shards: usize| {
-        let mut t = tree(points, 8);
-        // Fresh cold pool, sized so the join never evicts: the conservation
-        // law below is exact only without eviction interference.
-        t.rebuild_buffer(4096, shards).unwrap();
-        t
-    };
-    let run_with = |depth: usize, shards: usize| {
-        let t1 = roomy_tree(&a, shards);
-        let t2 = roomy_tree(&b, shards);
-        let config = JoinConfig::default().with_prefetch(depth);
-        let mut join = DistanceJoin::new(&t1, &t2, config);
-        let stream: Vec<_> = join.by_ref().map(|r| key(&r)).collect();
-        let stats = join.stats();
-        drop(join);
-        let pool = |t: &RTree<2>| t.io_stats();
-        let (s1, s2) = (pool(&t1), pool(&t2));
-        assert_eq!(
-            s1.evictions + s2.evictions,
-            0,
-            "buffer sized to avoid evictions"
-        );
-        (
-            stream,
-            stats,
-            s1.misses + s2.misses,
-            s1.prefetch_reads + s2.prefetch_reads,
-            s1.prefetch_hits + s2.prefetch_hits,
-        )
-    };
-    for shards in [1usize, 4] {
-        let (off_stream, off_stats, off_misses, off_reads, off_hits) = run_with(0, shards);
-        let (on_stream, on_stats, on_misses, on_reads, on_hits) = run_with(8, shards);
-        assert_eq!(on_stream, off_stream, "prefetch changed the stream");
-        assert_eq!(off_reads, 0, "depth 0 must issue no prefetch reads");
-        assert_eq!(off_hits, 0);
-        assert_eq!(off_stats.prefetch_hints, 0);
-        assert!(
-            on_stats.prefetch_hints > 0,
-            "depth 8 should have issued hints"
-        );
-        assert!(on_reads > 0, "hints should have prefetched real pages");
-        assert!(on_hits > 0, "some prefetched pages should satisfy demand");
-        assert_eq!(
-            on_misses + on_hits,
-            off_misses,
-            "I/O conservation broke at shards={shards}"
-        );
-        assert_eq!(on_stats.pairs_reported, off_stats.pairs_reported);
-    }
-}
-
 /// The compact flat 4-ary queue layout is a pure representation change:
 /// every engine (serial, parallel at several thread counts) and every queue
 /// backend (memory, hybrid with spilling) must produce the bit-identical

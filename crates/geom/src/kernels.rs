@@ -124,35 +124,6 @@ impl<const D: usize> SoaRects<D> {
         finish_axis(ks, acc);
     }
 
-    /// [`SoaRects::mindist_keys`] with the column pass unrolled into
-    /// explicit [`LANE_WIDTH`]-wide f64 lanes (the `std::simd` shape on
-    /// stable Rust). Exact-width chunks carry no per-element bounds checks
-    /// or iterator state, so the pass lowers to straight-line vector code;
-    /// each element still performs the same two-rounding accumulate as the
-    /// scalar kernel, so results are bit-identical.
-    pub fn mindist_keys_lanes(
-        &self,
-        ks: KeySpace,
-        q: &Rect<D>,
-        range: Range<usize>,
-        out: &mut Vec<f64>,
-    ) {
-        if q.is_empty() {
-            out.resize(out.len() + range.len(), f64::INFINITY);
-            return;
-        }
-        let base = out.len();
-        out.resize(out.len() + range.len(), 0.0);
-        let acc = &mut out[base..];
-        for a in 0..D {
-            let lo = &self.lo[a][range.clone()];
-            let hi = &self.hi[a][range.clone()];
-            let (qlo, qhi) = (q.lo()[a], q.hi()[a]);
-            accumulate_axis_lanes(ks, acc, lo, hi, |l, h| axis_gap(l, h, qlo, qhi));
-        }
-        finish_axis(ks, acc);
-    }
-
     /// MAXDIST keys between `q` and the rectangles in `range`, appended to
     /// `out`.
     pub fn maxdist_keys(&self, ks: KeySpace, q: &Rect<D>, range: Range<usize>, out: &mut Vec<f64>) {
@@ -168,32 +139,6 @@ impl<const D: usize> SoaRects<D> {
             let hi = &self.hi[a][range.clone()];
             let (qlo, qhi) = (q.lo()[a], q.hi()[a]);
             accumulate_axis(ks, acc, lo, hi, |l, h| (h - qlo).abs().max((qhi - l).abs()));
-        }
-        finish_axis(ks, acc);
-    }
-
-    /// [`SoaRects::maxdist_keys`] over explicit fixed-width lanes; see
-    /// [`SoaRects::mindist_keys_lanes`] for the contract (bit-identical to
-    /// the scalar kernel, element for element).
-    pub fn maxdist_keys_lanes(
-        &self,
-        ks: KeySpace,
-        q: &Rect<D>,
-        range: Range<usize>,
-        out: &mut Vec<f64>,
-    ) {
-        if q.is_empty() {
-            out.resize(out.len() + range.len(), f64::INFINITY);
-            return;
-        }
-        let base = out.len();
-        out.resize(out.len() + range.len(), 0.0);
-        let acc = &mut out[base..];
-        for a in 0..D {
-            let lo = &self.lo[a][range.clone()];
-            let hi = &self.hi[a][range.clone()];
-            let (qlo, qhi) = (q.lo()[a], q.hi()[a]);
-            accumulate_axis_lanes(ks, acc, lo, hi, |l, h| (h - qlo).abs().max((qhi - l).abs()));
         }
         finish_axis(ks, acc);
     }
@@ -273,38 +218,6 @@ impl<const D: usize> SoaRects<D> {
     }
 }
 
-/// Elements per lane group in the `*_keys_lanes` kernels: 4 × f64 matches a
-/// 256-bit vector register, the widest unit commonly available without
-/// nightly `std::simd`.
-pub const LANE_WIDTH: usize = 4;
-
-/// [`accumulate_axis`] restructured into exact [`LANE_WIDTH`]-element
-/// chunks: the lane body indexes fixed-size arrays (no slice bounds checks,
-/// no iterator state), which is the explicit-SIMD shape stable Rust can
-/// express. The per-element arithmetic is identical to the scalar pass, so
-/// both produce the same bits; only the loop structure differs.
-#[inline]
-fn accumulate_axis_lanes(
-    ks: KeySpace,
-    acc: &mut [f64],
-    lo: &[f64],
-    hi: &[f64],
-    gap: impl Fn(f64, f64) -> f64,
-) {
-    let m = ks.metric();
-    let (acc_lanes, acc_tail) = acc.as_chunks_mut::<LANE_WIDTH>();
-    let (lo_lanes, lo_tail) = lo.as_chunks::<LANE_WIDTH>();
-    let (hi_lanes, hi_tail) = hi.as_chunks::<LANE_WIDTH>();
-    for (v, (l, h)) in acc_lanes.iter_mut().zip(lo_lanes.iter().zip(hi_lanes)) {
-        for j in 0..LANE_WIDTH {
-            v[j] = m.accumulate(v[j], gap(l[j], h[j]));
-        }
-    }
-    for (v, (&l, &h)) in acc_tail.iter_mut().zip(lo_tail.iter().zip(hi_tail)) {
-        *v = m.accumulate(*v, gap(l, h));
-    }
-}
-
 /// One column pass: folds `gap(lo[i], hi[i])` into `acc[i]` under the
 /// metric's accumulator. Kept free of branches on the element index so the
 /// compiler can vectorize the loop.
@@ -323,7 +236,7 @@ fn accumulate_axis(
 }
 
 /// Applies the key-domain finish to a whole column (identity in the squared
-/// domain and for L1/L∞ — only the plain Euclidean A/B path pays sqrts here).
+/// domain and for L1/L∞ — only a plain Euclidean key space pays sqrts here).
 #[inline]
 fn finish_axis(ks: KeySpace, acc: &mut [f64]) {
     for v in acc {
@@ -378,45 +291,13 @@ mod tests {
     }
 
     #[test]
-    fn lane_kernels_match_column_kernels_bit_for_bit() {
-        // Sizes straddling the lane width exercise both the exact-chunk body
-        // and the scalar tail (0..=9 covers empty, sub-lane, exact multiples
-        // and ragged tails).
-        let q = Rect::new([0.5, 0.5], [2.0, 2.5]);
-        for n in 0..=9usize {
-            let mut soa = SoaRects::<2>::new();
-            for i in 0..n {
-                let x = (i as f64).mul_add(0.7, -1.3);
-                let y = (i as f64).sin();
-                soa.push(&Rect::new([x, y], [x + 0.4, y + 0.9]));
-            }
-            for m in METRICS {
-                for ks in [KeySpace::squared(m), KeySpace::plain(m)] {
-                    let (mut a, mut b) = (Vec::new(), Vec::new());
-                    soa.mindist_keys(ks, &q, 0..n, &mut a);
-                    soa.mindist_keys_lanes(ks, &q, 0..n, &mut b);
-                    assert_eq!(
-                        a.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                        b.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-                    );
-                    let (mut a, mut b) = (Vec::new(), Vec::new());
-                    soa.maxdist_keys(ks, &q, 0..n, &mut a);
-                    soa.maxdist_keys_lanes(ks, &q, 0..n, &mut b);
-                    assert_eq!(
-                        a.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                        b.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn lane_kernels_handle_empty_query() {
+    fn kernels_handle_empty_query() {
         let (soa, _) = batch();
         let ks = KeySpace::squared(Metric::Euclidean);
         let mut out = Vec::new();
-        soa.mindist_keys_lanes(ks, &Rect::empty(), 0..soa.len(), &mut out);
+        soa.mindist_keys(ks, &Rect::empty(), 0..soa.len(), &mut out);
+        soa.maxdist_keys(ks, &Rect::empty(), 0..soa.len(), &mut out);
+        assert_eq!(out.len(), 2 * soa.len());
         assert!(out.iter().all(|v| v.is_infinite()));
     }
 

@@ -23,7 +23,7 @@ mod point;
 mod rect;
 mod segment;
 
-pub use kernels::{SoaRects, LANE_WIDTH};
+pub use kernels::SoaRects;
 pub use metric::{KeySpace, Metric};
 pub use object::SpatialObject;
 pub use ordf64::OrdF64;

@@ -252,8 +252,9 @@ impl KeySpace {
         }
     }
 
-    /// The identity key domain: keys *are* distances for every metric. Kept
-    /// for A/B comparison against the squared domain.
+    /// The identity key domain: keys *are* distances for every metric. The
+    /// kernel-equivalence tests use it as the reference for the squared
+    /// domain.
     #[must_use]
     pub fn plain(metric: Metric) -> Self {
         Self {

@@ -78,7 +78,7 @@ pub enum Phase {
     Sweep = 6,
     /// Ordered merge (worker-stream watermark merge; bulk run merge).
     Merge = 7,
-    /// Buffer-pool page I/O (demand fault, retry loop, prefetch read).
+    /// Buffer-pool page I/O (demand fault, retry loop).
     Io = 8,
     /// Result emission (distance sqrt, dedup bookkeeping, delivery).
     Emit = 9,

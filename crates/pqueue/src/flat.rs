@@ -27,8 +27,7 @@
 //! * `payload` indexes the slab.
 //!
 //! Children of entry `i` sit at `4i+1 ..= 4i+4` — one 32-byte span of the
-//! key array, compared with the same `as_chunks` lane shape as the geometry
-//! kernels' `LANE_WIDTH` loops.
+//! key array, compared through fixed-size `as_chunks` lanes.
 //!
 //! The heap doubles as the hybrid queue's in-memory *list* tier: staged
 //! entries accumulate unsorted ([`FlatHeap::stage`]) and are promoted in one
@@ -38,8 +37,8 @@
 use crate::traits::{PriorityQueue, QueueKey};
 
 /// Heap arity: children of `i` live at `ARITY*i + 1 ..= ARITY*i + ARITY`.
-/// 4 × u64 keys span one 32-byte chunk, matching the geometry kernels'
-/// `LANE_WIDTH`.
+/// 4 × u64 keys span one 32-byte chunk, the width of a 256-bit vector
+/// register.
 pub const ARITY: usize = 4;
 
 /// Low bits of the entry tag holding the arrival sequence.
@@ -223,19 +222,6 @@ impl<K: QueueKey, V: Clone> FlatHeap<K, V> {
     pub fn peek_entry(&self) -> Option<(K, &V)> {
         let &pay = self.pays.first()?;
         Some((self.peek()?, self.slab_vals.get(pay as usize)?))
-    }
-
-    /// Visits up to `limit` sifted entries in array (level) order: the
-    /// minimum first, then the top of the heap outward. Like
-    /// [`crate::PairingHeap::peek_top`], the visited set approximates "the
-    /// entries nearest the head" without disturbing the heap; here it is a
-    /// plain prefix scan of the entry arrays. O(limit).
-    pub fn peek_top(&self, limit: usize, mut visit: impl FnMut(K, &V)) {
-        for (i, &pay) in self.pays.iter().take(limit).enumerate() {
-            if let Some(v) = self.slab_vals.get(pay as usize) {
-                visit(Self::rebuild_key(self.keys[i], self.tags[i]), v);
-            }
-        }
     }
 
     /// Rebuilds a key from its compact entry (see [`QueueKey::from_parts`]).
@@ -508,8 +494,7 @@ impl<K: QueueKey, V: Clone> FlatHeap<K, V> {
             }
             // Minimum of the up-to-4 children. The full-fan case reads one
             // 32-byte key lane plus one 16-byte tag lane through fixed-size
-            // chunks — the same bounds-check-free lane shape as the geometry
-            // kernels (`LANE_WIDTH` == ARITY).
+            // chunks, which carry no per-element bounds checks.
             let mut best = 0usize;
             if base + ARITY <= n {
                 let (klane, _) = self.keys[base..base + ARITY].as_chunks::<ARITY>();
@@ -708,25 +693,6 @@ mod tests {
         for v in 0..13u64 {
             assert_eq!(h.pop().map(|(_, v)| v), Some(v), "at {v}");
         }
-    }
-
-    #[test]
-    fn peek_top_visits_head_first_without_disturbing_the_heap() {
-        let mut h: FlatHeap<OrdF64, u64> = FlatHeap::new();
-        for k in [8u32, 3, 6, 1, 9, 2, 7] {
-            h.push(OrdF64::new(f64::from(k)), u64::from(k) * 10);
-        }
-        let mut seen = Vec::new();
-        h.peek_top(4, |k, v| seen.push((k.get(), *v)));
-        assert_eq!(seen.len(), 4);
-        assert_eq!(seen[0], (1.0, 10), "the minimum is visited first");
-        let mut out = Vec::new();
-        while let Some((k, _)) = h.pop() {
-            out.push(k.get());
-        }
-        assert_eq!(out, vec![1.0, 2.0, 3.0, 6.0, 7.0, 8.0, 9.0]);
-        let empty: FlatHeap<OrdF64, u64> = FlatHeap::new();
-        empty.peek_top(5, |_, _| panic!("empty heap has nothing to visit"));
     }
 
     #[test]

@@ -89,34 +89,6 @@ impl<K: Ord, V> PairingHeap<K, V> {
             .map(|(k, v)| (k, v))
     }
 
-    /// Visits up to `limit` entries from the top of the heap, breadth-first
-    /// from the root: the minimum first, then the roots of its child
-    /// subtrees, then theirs. Every entry visited at depth d is a subtree
-    /// minimum — smaller than everything below it — so the visited set is a
-    /// cheap approximation of "the entries nearest the head" without
-    /// disturbing the heap. The join engine uses this to pick node pages
-    /// worth prefetching. O(limit).
-    pub fn peek_top(&self, limit: usize, mut visit: impl FnMut(&K, &V)) {
-        if self.root == NIL || limit == 0 {
-            return;
-        }
-        let mut frontier = vec![self.root];
-        let mut at = 0;
-        while at < frontier.len() && frontier.len() < limit {
-            let mut child = self.slots[frontier[at]].child;
-            while child != NIL && frontier.len() < limit {
-                frontier.push(child);
-                child = self.slots[child].sibling;
-            }
-            at += 1;
-        }
-        for idx in frontier {
-            if let Some((k, v)) = self.slots[idx].data.as_ref() {
-                visit(k, v);
-            }
-        }
-    }
-
     /// Ensures space for `additional` more elements without reallocating the
     /// arena (beyond slots recycled through the free list).
     pub fn reserve(&mut self, additional: usize) {
@@ -414,30 +386,6 @@ mod tests {
         }
         h.reserve(64);
         assert_eq!(h.slots.capacity(), cap);
-    }
-
-    #[test]
-    fn peek_top_visits_head_first_without_disturbing_the_heap() {
-        let mut h = PairingHeap::new();
-        for k in [8, 3, 6, 1, 9, 2, 7] {
-            h.push(k, k * 10);
-        }
-        let mut seen = Vec::new();
-        h.peek_top(4, |k, v| seen.push((*k, *v)));
-        assert_eq!(seen.len(), 4);
-        assert_eq!(seen[0], (1, 10), "the minimum is visited first");
-        // The heap itself is untouched.
-        let mut out = Vec::new();
-        while let Some((k, _)) = h.pop() {
-            out.push(k);
-        }
-        assert_eq!(out, vec![1, 2, 3, 6, 7, 8, 9]);
-        // Degenerate limits are safe.
-        let empty: PairingHeap<u32, ()> = PairingHeap::new();
-        empty.peek_top(5, |_, _| panic!("empty heap has nothing to visit"));
-        let mut one = PairingHeap::new();
-        one.push(4, ());
-        one.peek_top(0, |_, _| panic!("limit 0 visits nothing"));
     }
 
     #[test]

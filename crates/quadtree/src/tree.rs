@@ -442,18 +442,6 @@ impl<const D: usize> SpatialIndex<D> for PrQuadtree<D> {
     fn io_misses(&self) -> u64 {
         self.pool.stats().misses
     }
-
-    fn prefetch_nodes(&self, ids: &[NodeId]) {
-        // Overflow chains hang off the head page; prefetching the head is
-        // what a subsequent `read_node` faults first.
-        let mut pages = [PageId::INVALID; 16];
-        for chunk in ids.chunks(16) {
-            for (slot, &id) in pages.iter_mut().zip(chunk) {
-                *slot = PageId(u32::try_from(id).expect("quadtree node ids are u32 pages"));
-            }
-            self.pool.prefetch(&pages[..chunk.len()]);
-        }
-    }
 }
 
 #[cfg(test)]

@@ -165,15 +165,6 @@ impl<const D: usize> RTree<D> {
         }
     }
 
-    /// Batch prefetch hint for node pages likely to be read soon (see
-    /// [`sdj_storage::BufferPool::prefetch`]): absent pages are faulted in
-    /// and counted as prefetch reads, *not* demand misses, so
-    /// [`RTree::io_stats`] miss counts stay comparable across runs with and
-    /// without hinting.
-    pub fn prefetch_pages(&self, pages: &[PageId]) {
-        self.pool.prefetch(pages);
-    }
-
     /// Attaches an observability handle to the tree's buffer pool: node
     /// accesses are mirrored into the handle's hit/miss/eviction counters
     /// and evictions emit buffer events (see

@@ -44,8 +44,8 @@ use std::sync::Arc;
 use sdj_core::bulk::{BulkConfig, BulkDistanceJoin};
 use sdj_core::plan::plan_for_trees;
 use sdj_core::{
-    AdaptiveConfig, AdaptiveCursor, AdaptiveDistanceJoin, DistanceJoin, JoinConfig, PlanChoice,
-    ResultPair,
+    AdaptiveConfig, AdaptiveCursor, AdaptiveDistanceJoin, ConfigError, DistanceJoin, JoinConfig,
+    PlanChoice, ResultPair,
 };
 use sdj_obs::{Event, ObsContext, PlanPath, SessionSection};
 use sdj_rtree::RTree;
@@ -56,6 +56,9 @@ use sdj_storage::{PoolStats, StorageError};
 /// down.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ServiceError {
+    /// `open` refused: the session's join configuration is invalid (see
+    /// [`JoinConfig::validate`]). No admission slot was taken.
+    InvalidConfig(ConfigError),
     /// `open` refused: the concurrent-session limit is already reached.
     AdmissionDenied {
         /// Sessions currently holding slots.
@@ -86,6 +89,7 @@ pub enum ServiceError {
 impl fmt::Display for ServiceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            Self::InvalidConfig(e) => write!(f, "invalid join config: {e}"),
             Self::AdmissionDenied { active, limit } => {
                 write!(f, "admission denied: {active} of {limit} sessions active")
             }
@@ -106,6 +110,7 @@ impl fmt::Display for ServiceError {
 impl std::error::Error for ServiceError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
+            Self::InvalidConfig(e) => Some(e),
             Self::Storage(e) => Some(e),
             _ => None,
         }
@@ -585,11 +590,20 @@ impl<'t, const D: usize> JoinService<'t, D> {
         self.tree1.pinned_frames() + self.tree2.pinned_frames()
     }
 
-    /// Opens a session: admission check, per-session plan choice, engine
-    /// construction, obs attribution. The handle borrows the service's
-    /// trees, not the service — open sessions outlive intermediate
-    /// `open` calls freely.
+    /// Opens a session: config validation, admission check, per-session
+    /// plan choice, engine construction, obs attribution. The handle borrows
+    /// the service's trees, not the service — open sessions outlive
+    /// intermediate `open` calls freely.
+    ///
+    /// # Errors
+    /// [`ServiceError::InvalidConfig`] for a join configuration the engines
+    /// would reject (checked before admission, so no slot is taken), and
+    /// [`ServiceError::AdmissionDenied`] at the session limit.
     pub fn open(&self, config: SessionConfig) -> Result<SessionHandle<'t, D>, ServiceError> {
+        config
+            .join
+            .validate()
+            .map_err(ServiceError::InvalidConfig)?;
         let limit = self.config.max_sessions;
         if let Err(active) = self
             .active

@@ -394,6 +394,41 @@ fn admission_limit_is_enforced_and_slots_recycle() {
         .expect("slot recycled");
 }
 
+/// An invalid join config is refused with a typed error before admission:
+/// no panic, now or on the first pull, and no leaked slot.
+#[test]
+fn invalid_config_is_refused_without_taking_a_slot() {
+    let t1 = tree(&[Rect::new([0.0, 0.0], [1.0, 1.0])], 4);
+    let t2 = tree(&[Rect::new([2.0, 2.0], [3.0, 3.0])], 4);
+    let service = JoinService::new(
+        &t1,
+        &t2,
+        ServiceConfig {
+            max_sessions: 1,
+            session_budget: None,
+        },
+    );
+    for (min, max) in [(5.0, 1.0), (0.0, f64::NAN)] {
+        for force_plan in [None, Some(PlanChoice::Bulk)] {
+            let config = SessionConfig {
+                join: JoinConfig::default().with_range(min, max),
+                force_plan,
+                ..SessionConfig::default()
+            };
+            match service.open(config) {
+                Err(ServiceError::InvalidConfig(_)) => {}
+                Err(other) => panic!("expected InvalidConfig for {min}..{max}, got {other:?}"),
+                Ok(_) => panic!("expected InvalidConfig for {min}..{max}, got a session"),
+            }
+            assert_eq!(service.active_sessions(), 0, "slot leaked for {min}..{max}");
+        }
+    }
+    let mut session = service
+        .open(SessionConfig::default())
+        .expect("the only slot is still free");
+    assert_eq!(session.next_batch(10).unwrap().results.len(), 1);
+}
+
 /// A runaway session is killed cleanly by its byte budget — typed error,
 /// no leaks — and a budget-free neighbour on the same pools is untouched.
 #[test]

@@ -24,12 +24,6 @@
 //! (second chance) replaces the list with a reference bit and a sweeping
 //! hand; it is the natural policy for the sharded configuration because a
 //! hit is a single bit set instead of a list splice.
-//!
-//! [`BufferPool::prefetch`] accepts batch hints ("these pages are about to
-//! be read") and faults absent ones in, counting them as `prefetch_reads` —
-//! *not* demand misses — so the node-I/O measure stays honest; a later
-//! demand access that lands on a prefetched frame counts as a hit and as a
-//! `prefetch_hit`.
 
 use std::collections::HashMap;
 use std::ops::Deref;
@@ -46,18 +40,13 @@ pub struct PoolStats {
     /// Demand accesses served from the pool.
     pub hits: u64,
     /// Demand accesses that had to fault the page in from disk. This is the
-    /// experiments' "node I/O" measure; prefetch reads are *not* included.
+    /// experiments' "node I/O" measure.
     pub misses: u64,
     /// Frames evicted to make room.
     pub evictions: u64,
     /// Dirty frames written back to disk (on eviction, flush, or a
     /// write-through when every frame of a shard was pinned).
     pub writebacks: u64,
-    /// Pages faulted in by [`BufferPool::prefetch`] hints.
-    pub prefetch_reads: u64,
-    /// Demand hits served by a frame a prefetch brought in (each prefetched
-    /// frame is counted at most once, on its first demand access).
-    pub prefetch_hits: u64,
     /// Full-page byte copies performed by the copying [`BufferPool::read`]
     /// API. The [`PageGuard`] path never copies, so this stays zero for
     /// guard-based readers — the benchmarks assert exactly that.
@@ -89,8 +78,6 @@ impl PoolStats {
         self.misses += o.misses;
         self.evictions += o.evictions;
         self.writebacks += o.writebacks;
-        self.prefetch_reads += o.prefetch_reads;
-        self.prefetch_hits += o.prefetch_hits;
         self.read_copies += o.read_copies;
         self.shared_lock_acquisitions += o.shared_lock_acquisitions;
         self.faults += o.faults;
@@ -107,8 +94,6 @@ impl PoolStats {
             misses: self.misses - baseline.misses,
             evictions: self.evictions - baseline.evictions,
             writebacks: self.writebacks - baseline.writebacks,
-            prefetch_reads: self.prefetch_reads - baseline.prefetch_reads,
-            prefetch_hits: self.prefetch_hits - baseline.prefetch_hits,
             read_copies: self.read_copies - baseline.read_copies,
             shared_lock_acquisitions: self.shared_lock_acquisitions
                 - baseline.shared_lock_acquisitions,
@@ -129,20 +114,17 @@ pub struct BufferObs {
     misses: Arc<Counter>,
     evictions: Arc<Counter>,
     writebacks: Arc<Counter>,
-    prefetch_reads: Arc<Counter>,
-    prefetch_hits: Arc<Counter>,
     faults: Arc<Counter>,
     retries: Arc<Counter>,
     /// Always-timed [`Phase::Io`] accumulator: every page fault (demand
-    /// miss, update miss, or prefetch) records its pager time here, so the
-    /// engine's sampled spans can subtract real I/O from their self-time.
+    /// or update miss) records its pager time here, so the engine's
+    /// sampled spans can subtract real I/O from their self-time.
     io_span: Option<LeafSpan>,
 }
 
 impl BufferObs {
     /// Builds the handle from a context, registering `{prefix}.hits`,
     /// `{prefix}.misses`, `{prefix}.evictions`, `{prefix}.writebacks`,
-    /// `{prefix}.prefetch_reads`, `{prefix}.prefetch_hits`,
     /// `{prefix}.faults` and `{prefix}.retries`.
     #[must_use]
     pub fn new(ctx: &ObsContext, prefix: &str) -> Self {
@@ -152,8 +134,6 @@ impl BufferObs {
             misses: ctx.registry.counter(&format!("{prefix}.misses")),
             evictions: ctx.registry.counter(&format!("{prefix}.evictions")),
             writebacks: ctx.registry.counter(&format!("{prefix}.writebacks")),
-            prefetch_reads: ctx.registry.counter(&format!("{prefix}.prefetch_reads")),
-            prefetch_hits: ctx.registry.counter(&format!("{prefix}.prefetch_hits")),
             faults: ctx.registry.counter(&format!("{prefix}.faults")),
             retries: ctx.registry.counter(&format!("{prefix}.retries")),
             io_span: LeafSpan::from_context(ctx, Phase::Io),
@@ -287,22 +267,19 @@ struct Frame {
     dirty: bool,
     /// CLOCK reference bit (unused under LRU).
     referenced: bool,
-    /// Brought in by a prefetch hint and not yet demanded.
-    prefetched: bool,
     /// LRU recency links (unused under CLOCK).
     prev: usize,
     next: usize,
 }
 
 impl Frame {
-    fn new(page: PageId, data: Box<[u8]>, prefetched: bool) -> Self {
+    fn new(page: PageId, data: Box<[u8]>) -> Self {
         Self {
             page,
             data: Arc::new(data),
             pins: Arc::new(AtomicU32::new(0)),
             dirty: false,
             referenced: true,
-            prefetched,
             prev: NIL,
             next: NIL,
         }
@@ -456,10 +433,10 @@ impl BufferPool {
         self.lock_pager().set_fault_injector(injector);
     }
 
-    /// Attaches an observability handle: subsequent hits, misses, evictions,
-    /// write-backs and prefetches are mirrored into its counters and
-    /// evictions emit a [`Event::BufferEvict`]. The counters start from the
-    /// attach point — they are deltas, not a copy of [`BufferPool::stats`].
+    /// Attaches an observability handle: subsequent hits, misses, evictions
+    /// and write-backs are mirrored into its counters and evictions emit a
+    /// [`Event::BufferEvict`]. The counters start from the attach point —
+    /// they are deltas, not a copy of [`BufferPool::stats`].
     pub fn attach_obs(&self, obs: BufferObs) {
         for shard in self.shards.iter() {
             shard.lock().obs = Some(obs.clone());
@@ -518,13 +495,13 @@ impl BufferPool {
     /// caller has already counted the access; this only performs I/O and
     /// eviction bookkeeping. Returns a transient buffer when every frame is
     /// pinned.
-    fn fault(&self, s: &mut ShardInner, id: PageId, prefetched: bool) -> Result<Fetched> {
+    fn fault(&self, s: &mut ShardInner, id: PageId) -> Result<Fetched> {
         let timed = s
             .obs
             .as_ref()
             .is_some_and(|o| o.io_span.is_some())
             .then(std::time::Instant::now);
-        let r = self.fault_inner(s, id, prefetched);
+        let r = self.fault_inner(s, id);
         if let (Some(t0), Some(obs)) = (timed, &s.obs) {
             if let Some(span) = &obs.io_span {
                 span.record_ns(t0.elapsed().as_nanos() as u64);
@@ -533,7 +510,7 @@ impl BufferPool {
         r
     }
 
-    fn fault_inner(&self, s: &mut ShardInner, id: PageId, prefetched: bool) -> Result<Fetched> {
+    fn fault_inner(&self, s: &mut ShardInner, id: PageId) -> Result<Fetched> {
         let mut data = vec![0u8; self.page_size].into_boxed_slice();
         let limit = self.retry_limit();
         // One pager-lock acquisition covers the read and any write-back.
@@ -561,14 +538,14 @@ impl BufferPool {
             };
             s.evict(victim, &mut pager, limit)?;
             drop(pager);
-            s.frames[victim] = Frame::new(id, data, prefetched);
+            s.frames[victim] = Frame::new(id, data);
             s.map.insert(id, victim);
             s.link_new(victim);
             return Ok(Fetched::Resident(victim));
         }
         drop(pager);
         let idx = s.frames.len();
-        s.frames.push(Frame::new(id, data, prefetched));
+        s.frames.push(Frame::new(id, data));
         s.map.insert(id, idx);
         s.link_new(idx);
         Ok(Fetched::Resident(idx))
@@ -585,7 +562,7 @@ impl BufferPool {
             return Ok(s.pin(idx));
         }
         s.on_miss();
-        match self.fault(&mut s, id, false)? {
+        match self.fault(&mut s, id)? {
             Fetched::Resident(idx) => Ok(s.pin(idx)),
             Fetched::Transient(data) => Ok(PageGuard {
                 data: Arc::new(data),
@@ -631,7 +608,7 @@ impl BufferPool {
             idx
         } else {
             s.on_miss();
-            match self.fault(&mut s, id, false)? {
+            match self.fault(&mut s, id)? {
                 Fetched::Resident(idx) => idx,
                 Fetched::Transient(mut data) => {
                     // Every frame pinned: modify the transient buffer and
@@ -669,26 +646,6 @@ impl BufferPool {
         let r = f(bytes);
         frame.dirty = true;
         Ok(r)
-    }
-
-    /// Batch prefetch hint: faults absent pages in, counting them as
-    /// `prefetch_reads` instead of demand misses. Best-effort — hints for
-    /// unknown or freed pages are ignored, resident pages are left alone
-    /// (their recency is *not* touched, so hinting never perturbs the
-    /// demand hit/miss accounting).
-    pub fn prefetch(&self, ids: &[PageId]) {
-        for &id in ids {
-            let mut s = self.shard_for(id).lock();
-            if s.map.contains_key(&id) {
-                continue;
-            }
-            if let Ok(Fetched::Resident(_)) = self.fault(&mut s, id, true) {
-                s.stats.prefetch_reads += 1;
-                if let Some(obs) = &s.obs {
-                    obs.prefetch_reads.inc();
-                }
-            }
-        }
     }
 
     /// Writes all dirty frames back to the pager.
@@ -841,13 +798,6 @@ impl ShardInner {
         self.stats.hits += 1;
         if let Some(obs) = &self.obs {
             obs.hits.inc();
-        }
-        if self.frames[idx].prefetched {
-            self.frames[idx].prefetched = false;
-            self.stats.prefetch_hits += 1;
-            if let Some(obs) = &self.obs {
-                obs.prefetch_hits.inc();
-            }
         }
         match self.policy {
             EvictionPolicy::Lru => self.touch(idx),
@@ -1009,7 +959,6 @@ impl ShardInner {
     fn discard_frame(&mut self, idx: usize) {
         self.frames[idx].dirty = false;
         self.frames[idx].page = PageId::INVALID;
-        self.frames[idx].prefetched = false;
         match self.policy {
             EvictionPolicy::Lru => {
                 self.unlink(idx);
@@ -1367,33 +1316,6 @@ mod tests {
             resident_hits_before + 1,
             "exactly one of the two old pages survived the CLOCK sweep"
         );
-    }
-
-    #[test]
-    fn prefetch_converts_demand_misses_into_hits() {
-        let (pool, ids) = pool(4);
-        pool.prefetch(&[ids[0], ids[1]]);
-        let s = pool.stats();
-        assert_eq!(s.prefetch_reads, 2);
-        assert_eq!(
-            (s.hits, s.misses),
-            (0, 0),
-            "prefetch is not a demand access"
-        );
-        let mut buf = [0u8; 8];
-        pool.read(ids[0], &mut buf).unwrap();
-        pool.read(ids[1], &mut buf).unwrap();
-        pool.read(ids[0], &mut buf).unwrap();
-        let s = pool.stats();
-        assert_eq!(s.misses, 0);
-        assert_eq!(s.hits, 3);
-        assert_eq!(
-            s.prefetch_hits, 2,
-            "first demand access per prefetched page"
-        );
-        // Hints for resident or bogus pages are ignored.
-        pool.prefetch(&[ids[0], PageId(9999)]);
-        assert_eq!(pool.stats().prefetch_reads, 2);
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //!
 //! * [`Pager`] — a "disk" of fixed-size pages with read/write counters,
 //! * [`BufferPool`] — a sharded page cache in front of a pager with pinned
-//!   zero-copy [`PageGuard`] reads and batch [`BufferPool::prefetch`] hints;
-//!   a demand buffer miss is what the experiments count as one node I/O,
+//!   zero-copy [`PageGuard`] reads; a buffer miss is what the experiments
+//!   count as one node I/O,
 //! * [`codec`] — small helpers for encoding tree nodes and spilled
 //!   priority-queue entries into pages.
 //!
