@@ -152,4 +152,18 @@ cargo test -p sdj-core --offline -q --test chaos kind_confused_pair_decodes_to_e
 ./target/release/sdj-report --check results/RunReport_sessions.json \
     --expect-drain --expect-sessions 4
 
+echo "==> semi-join completion and service regressions gate"
+# A semi-join must stop at its last possible result: every filter, d_max
+# strategy, order, window and range must match the brute-force oracle, and
+# once every outer object is answered no further pair may be popped. The
+# parallel executor must equal the serial semi-join stream and stop its
+# workers once the consumer returns. An unforced open cursor must run
+# incremental, a bad forced cell width must be a typed error before
+# admission, and an admission slot must come back when its guard drops.
+cargo test -p sdj-core --offline -q --test semi_completion
+cargo test -p sdj-exec --offline -q --test early_stop
+cargo test -p sdj-service --offline -q --test session_equivalence open_cursor_runs_incremental_not_bulk
+cargo test -p sdj-service --offline -q --test session_equivalence invalid_cell_width_is_refused_without_taking_a_slot
+cargo test -p sdj-service --offline -q --lib admission_slot_returns_on_drop_unless_handed_over
+
 echo "CI OK"

@@ -17,13 +17,19 @@
 //! an [`AtomicU64`]. For non-negative floats the bit patterns order exactly
 //! like the values, so `fetch_min` on the raw bits is `fetch_min` on the
 //! distances — no compare-exchange loop needed.
+//!
+//! The bound also carries the run's close signal: once the consumer of the
+//! merged stream is gone, nothing a worker could still produce would be
+//! read, so every worker stops at its next pop ([`SharedDistanceBound::close`]).
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-/// A monotonically non-increasing distance bound shared across threads.
+/// A monotonically non-increasing distance bound shared across threads,
+/// plus a one-way close signal.
 #[derive(Debug)]
 pub struct SharedDistanceBound {
     bits: AtomicU64,
+    closed: AtomicBool,
 }
 
 impl Default for SharedDistanceBound {
@@ -46,6 +52,7 @@ impl SharedDistanceBound {
         );
         Self {
             bits: AtomicU64::new(initial.to_bits()),
+            closed: AtomicBool::new(false),
         }
     }
 
@@ -68,6 +75,20 @@ impl SharedDistanceBound {
         // integer fetch_min implements a float min atomically.
         let prev = self.bits.fetch_min(bound.to_bits(), Ordering::AcqRel);
         bound < f64::from_bits(prev)
+    }
+
+    /// Signals that the run's consumer is gone: engines holding this bound
+    /// stop at their next pop. Irreversible. The flag publishes no other
+    /// data; this `Release` pairs with the `Acquire` in
+    /// [`is_closed`](Self::is_closed).
+    pub fn close(&self) {
+        self.closed.store(true, Ordering::Release);
+    }
+
+    /// True once [`close`](Self::close) was called.
+    #[must_use]
+    pub fn is_closed(&self) -> bool {
+        self.closed.load(Ordering::Acquire)
     }
 }
 
@@ -103,6 +124,16 @@ mod tests {
         b.tighten(-1.0);
         b.tighten(f64::NAN);
         assert_eq!(b.get(), 5.0);
+    }
+
+    #[test]
+    fn close_is_one_way_and_leaves_the_bound_alone() {
+        let b = SharedDistanceBound::new(3.0);
+        assert!(!b.is_closed());
+        b.close();
+        b.close();
+        assert!(b.is_closed());
+        assert_eq!(b.get(), 3.0);
     }
 
     #[test]

@@ -51,7 +51,7 @@ use sdj_geom::{KeySpace, OrdF64, Rect, SoaRects};
 use sdj_obs::{ObsContext, Phase, SpanTimer};
 use sdj_rtree::ObjectId;
 
-use crate::config::{JoinConfig, ResultOrder};
+use crate::config::{ConfigError, JoinConfig, ResultOrder};
 use crate::index::{IndexEntry, IndexNode, SpatialIndex};
 use crate::join::{EmissionWatermark, ResultPair};
 use crate::stats::JoinStats;
@@ -78,6 +78,30 @@ impl Default for BulkConfig {
         Self {
             cell_width: None,
             target_per_cell: 64,
+        }
+    }
+}
+
+impl BulkConfig {
+    /// Checks the forced cell width, if any, is positive and finite — what
+    /// the bulk constructors require. Callers holding untrusted configs
+    /// validate first; the constructors panic instead.
+    ///
+    /// # Errors
+    /// [`ConfigError::InvalidCellWidth`] for a zero, negative, NaN or
+    /// infinite forced width.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        match self.cell_width {
+            Some(w) if !(w.is_finite() && w > 0.0) => Err(ConfigError::InvalidCellWidth),
+            _ => Ok(()),
+        }
+    }
+
+    /// [`validate`](Self::validate) for the constructors' panicking
+    /// contract.
+    fn assert_valid(&self) {
+        if let Err(e) = self.validate() {
+            panic!("invalid bulk config: {e}");
         }
     }
 }
@@ -385,12 +409,7 @@ impl<const D: usize> BulkDistanceJoin<D> {
     {
         let mut spans = ctx.and_then(SpanTimer::from_context);
         config.assert_valid();
-        if let Some(w) = bulk_config.cell_width {
-            assert!(
-                w.is_finite() && w > 0.0,
-                "forced cell width must be positive and finite"
-            );
-        }
+        bulk_config.assert_valid();
         let keys = config.key_space();
         let mut stats = JoinStats::default();
         let io_before = tree1.io_misses() + tree2.io_misses();
@@ -489,12 +508,7 @@ impl<const D: usize> BulkDistanceJoin<D> {
     ) -> Self {
         let spans = ctx.and_then(SpanTimer::from_context);
         config.assert_valid();
-        if let Some(w) = bulk_config.cell_width {
-            assert!(
-                w.is_finite() && w > 0.0,
-                "forced cell width must be positive and finite"
-            );
-        }
+        bulk_config.assert_valid();
         assert!(
             entries1.len() <= u32::MAX as usize && entries2.len() <= u32::MAX as usize,
             "bulk join supports at most u32::MAX objects per side"

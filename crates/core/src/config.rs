@@ -68,6 +68,9 @@ pub enum ConfigError {
     InvertedRange,
     /// Descending order was combined with a non-memory queue backend.
     DescendingHybrid,
+    /// A forced bulk-grid cell width is not positive and finite (see
+    /// [`BulkConfig::validate`](crate::bulk::BulkConfig::validate)).
+    InvalidCellWidth,
 }
 
 impl fmt::Display for ConfigError {
@@ -76,6 +79,7 @@ impl fmt::Display for ConfigError {
             Self::InvalidBound => "distance bounds must be non-negative and not NaN",
             Self::InvertedRange => "min_distance exceeds max_distance",
             Self::DescendingHybrid => "descending joins require the memory queue backend",
+            Self::InvalidCellWidth => "forced cell width must be positive and finite",
         })
     }
 }

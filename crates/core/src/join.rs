@@ -91,7 +91,8 @@ where
     /// this window.
     window2: Option<Rect<D>>,
     /// Cross-worker maximum-distance bound of a parallel run (ascending
-    /// order only): read for pruning, written from the estimator.
+    /// order only): read for pruning, written from the estimator. Its close
+    /// signal stops the engine in either order.
     shared_bound: Option<&'a SharedDistanceBound>,
     /// Instrumentation handle; `None` (the default) keeps the hot path to a
     /// single branch per hook site.
@@ -353,7 +354,9 @@ where
 
     /// Attaches a cross-worker distance bound (parallel execution, ascending
     /// order): dequeued or considered pairs beyond the bound are pruned, and
-    /// bounds proven by this engine's estimator are published to it.
+    /// bounds proven by this engine's estimator are published to it. Once
+    /// the bound is [closed](SharedDistanceBound::close) the engine stops
+    /// at its next pop, in either order.
     #[must_use]
     pub fn with_shared_bound(mut self, bound: &'a SharedDistanceBound) -> Self {
         self.shared_bound = Some(bound);
@@ -1506,6 +1509,13 @@ where
                 self.stats.filtered_seen += 1;
                 return None;
             }
+            // `seen` only ever holds object ids of the first relation, so
+            // once it covers all of them every outer object has its answer
+            // and any later candidate would be suppressed above: the
+            // semi-join is complete, whatever the queue still holds.
+            if semi.seen.len() >= self.tree1.len() {
+                self.done = true;
+            }
         }
         if let Some(wm) = &mut self.watermark {
             if key > wm.key {
@@ -1555,6 +1565,14 @@ where
 
     /// One iteration of the algorithm's main loop (Figure 3).
     fn step_inner(&mut self) -> sdj_storage::Result<StepOutcome> {
+        // A parallel worker whose run was closed (the merged stream's
+        // consumer is gone) has nothing left that anyone would read.
+        if self
+            .shared_bound
+            .is_some_and(SharedDistanceBound::is_closed)
+        {
+            return Ok(StepOutcome::Exhausted);
+        }
         self.span_enter(Phase::QueuePop);
         let popped = self.queue.pop();
         self.span_exit(Phase::QueuePop);

@@ -30,7 +30,13 @@
 //!    on workers whose watermark is missing. For semi-joins it additionally
 //!    drops repeat first objects: shards are disjoint in *pairs*, not in
 //!    first objects, and the first emission in merge order is the nearest
-//!    partner, exactly the serial answer.
+//!    partner, exactly the serial answer. A semi-join's merge ends as soon
+//!    as every first object is answered, without waiting for the workers.
+//!
+//! When the consumer returns, the executor closes the shared bound and every
+//! worker stops at its next pop, so a worker in a result-free stretch (a
+//! semi-join's tail, or anything past the merge's `STOP AFTER`) never runs
+//! its shard to exhaustion behind a finished stream.
 //!
 //! The output is pairwise identical to the serial engine's: the same result
 //! multiset, in a valid distance order. Only the relative order of
@@ -244,7 +250,11 @@ where
     /// the duration of the call — scoped worker threads must join before
     /// this function returns, which is why the consumer is a closure rather
     /// than a returned iterator. Dropping the stream early (e.g. after
-    /// `take(k)`) cancels the remaining work.
+    /// `take(k)`) cancels the remaining work: when `consume` returns, the
+    /// run's [`SharedDistanceBound`] is closed, so a worker still searching
+    /// stops at its next queue pop, and the stream's channels close, so a
+    /// worker blocked on a send exits. A semi-join's stream ends once every
+    /// object of `tree1` has its answer, so a `collect` stops there too.
     pub fn run<R>(self, consume: impl FnOnce(&mut JoinStream) -> R) -> RunOutput<R> {
         let threads = self.parallel.threads.max(1);
         let frontier = self
@@ -402,7 +412,8 @@ where
                 prefix,
                 receivers,
                 ascending,
-                self.semi.map(|_| frontier.seen.clone().unwrap_or_default()),
+                self.semi
+                    .map(|_| (frontier.seen.clone().unwrap_or_default(), self.tree1.len())),
                 frontier.remaining_pairs,
                 stream_obs,
             );
@@ -411,7 +422,10 @@ where
             // worker error is exposed.
             stream.error = frontier_error.clone();
             let value = consume(&mut stream);
-            drop(stream); // close the receivers so stalled workers exit
+            // Nobody reads past this point: stop busy workers at their next
+            // pop, and close the receivers so stalled workers exit.
+            shared.close();
+            drop(stream);
             (value, frontier.stats)
         });
 
@@ -483,8 +497,10 @@ pub struct JoinStream {
     prefix: std::vec::IntoIter<ResultPair>,
     workers: Vec<WorkerStream>,
     ascending: bool,
-    /// Semi-join only: first objects already answered; repeats are dropped.
-    seen: Option<SeenSet>,
+    /// Semi-join only: first objects already answered (repeats are dropped)
+    /// and the size of the first relation. The stream ends once every
+    /// first object is answered.
+    semi: Option<(SeenSet, usize)>,
     /// Results still allowed after the prefix (`max_pairs` runs).
     remaining: Option<u64>,
     obs: Option<StreamObs>,
@@ -501,7 +517,7 @@ impl JoinStream {
         prefix: Vec<ResultPair>,
         receivers: Vec<Receiver<Result<ResultPair, StorageError>>>,
         ascending: bool,
-        seen: Option<SeenSet>,
+        semi: Option<(SeenSet, usize)>,
         remaining: Option<u64>,
         obs: Option<StreamObs>,
     ) -> Self {
@@ -515,7 +531,7 @@ impl JoinStream {
                 })
                 .collect(),
             ascending,
-            seen,
+            semi,
             remaining,
             obs,
             error: None,
@@ -593,12 +609,16 @@ impl JoinStream {
     /// [`Iterator::next`]).
     fn next_merged(&mut self) -> Option<ResultPair> {
         loop {
-            if self.remaining == Some(0) {
+            let semi_complete = self
+                .semi
+                .as_ref()
+                .is_some_and(|(seen, outer)| seen.len() >= *outer);
+            if self.remaining == Some(0) || semi_complete {
                 return None;
             }
             let best = self.best_head()?;
             let r = self.workers[best].head.take().expect("best head is filled");
-            if let Some(seen) = &mut self.seen {
+            if let Some((seen, _)) = &mut self.semi {
                 if !seen.insert(r.oid1.0) {
                     continue; // another shard already answered this object
                 }

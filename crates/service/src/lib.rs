@@ -17,9 +17,11 @@
 //!   with a typed [`ServiceError::AdmissionDenied`], and a session's slot
 //!   is returned when its handle drops.
 //! * **Per-session plans** — each session runs the path the cost model
-//!   picks for *its* query (or a forced one): the incremental iterator,
-//!   the bulk executor (materialised on first pull), or the adaptive
-//!   cursor ([`sdj_core::AdaptiveCursor`]) with per-session knobs —
+//!   picks for *its* query (or a forced one; an unforced open cursor
+//!   always runs incremental, since its pulls bound it, not its query):
+//!   the incremental iterator, the bulk executor (materialised on first
+//!   pull), or the adaptive cursor ([`sdj_core::AdaptiveCursor`]) with
+//!   per-session knobs —
 //!   [`SessionConfig::adaptive`] defaults from the `SDJ_ADAPTIVE_*`
 //!   environment but is plain data, so two sessions in one process can
 //!   run different strides.
@@ -56,8 +58,9 @@ use sdj_storage::{PoolStats, StorageError};
 /// down.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ServiceError {
-    /// `open` refused: the session's join configuration is invalid (see
-    /// [`JoinConfig::validate`]). No admission slot was taken.
+    /// `open` refused: the session's join or bulk configuration is invalid
+    /// (see [`JoinConfig::validate`] and [`BulkConfig::validate`]). No
+    /// admission slot was taken.
     InvalidConfig(ConfigError),
     /// `open` refused: the concurrent-session limit is already reached.
     AdmissionDenied {
@@ -255,7 +258,9 @@ pub struct SessionHandle<'t, const D: usize> {
     /// (both trees combined): hits, misses, evictions, writebacks.
     buf: PoolStats,
     ctx: Option<ObsContext>,
-    admission: Arc<AtomicU32>,
+    /// Declared last so it drops last: the slot frees only after the
+    /// engine's state has.
+    _slot: AdmissionSlot,
 }
 
 impl<'t, const D: usize> SessionHandle<'t, D> {
@@ -532,11 +537,26 @@ impl<'t, const D: usize> SessionHandle<'t, D> {
     }
 }
 
-impl<const D: usize> Drop for SessionHandle<'_, D> {
+/// One taken admission slot. Dropping it gives the slot back, so a slot
+/// taken by `open` returns whether `open` hands it to a [`SessionHandle`]
+/// (which gives it back when the handle drops) or unwinds before it could.
+struct AdmissionSlot(Arc<AtomicU32>);
+
+impl AdmissionSlot {
+    /// Takes a slot from `active` unless `limit` slots are already taken.
+    fn take(active: &Arc<AtomicU32>, limit: u32) -> Result<Self, ServiceError> {
+        active
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| {
+                (n < limit).then_some(n + 1)
+            })
+            .map_err(|active| ServiceError::AdmissionDenied { active, limit })?;
+        Ok(Self(Arc::clone(active)))
+    }
+}
+
+impl Drop for AdmissionSlot {
     fn drop(&mut self) {
-        // Return the admission slot. The engine (frontier, slab, spill
-        // pages) drops with the handle.
-        self.admission.fetch_sub(1, Ordering::AcqRel);
+        self.0.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
@@ -595,33 +615,34 @@ impl<'t, const D: usize> JoinService<'t, D> {
     /// the service's trees, not the service — open sessions outlive
     /// intermediate `open` calls freely.
     ///
+    /// An open cursor — no `STOP AFTER` and no finite `max_distance` — runs
+    /// incremental unless a plan is forced: the cost model would pick bulk
+    /// for its whole cross product, which the first pull would materialise.
+    ///
     /// # Errors
-    /// [`ServiceError::InvalidConfig`] for a join configuration the engines
-    /// would reject (checked before admission, so no slot is taken), and
-    /// [`ServiceError::AdmissionDenied`] at the session limit.
+    /// [`ServiceError::InvalidConfig`] for a join or bulk configuration the
+    /// engines would reject (checked before admission, so no slot is
+    /// taken), and [`ServiceError::AdmissionDenied`] at the session limit.
     pub fn open(&self, config: SessionConfig) -> Result<SessionHandle<'t, D>, ServiceError> {
         config
             .join
             .validate()
+            .and_then(|()| config.bulk.validate())
             .map_err(ServiceError::InvalidConfig)?;
-        let limit = self.config.max_sessions;
-        if let Err(active) = self
-            .active
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| {
-                (n < limit).then_some(n + 1)
-            })
-        {
-            return Err(ServiceError::AdmissionDenied { active, limit });
-        }
+        let slot = AdmissionSlot::take(&self.active, self.config.max_sessions)?;
 
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let label = config
             .label
             .clone()
             .unwrap_or_else(|| format!("session-{id}"));
-        let plan = config
-            .force_plan
-            .unwrap_or_else(|| plan_for_trees(self.tree1, self.tree2, &config.join).choice);
+        let open_cursor =
+            config.join.max_pairs.is_none() && config.join.max_distance == f64::INFINITY;
+        let plan = match config.force_plan {
+            Some(plan) => plan,
+            None if open_cursor => PlanChoice::Incremental,
+            None => plan_for_trees(self.tree1, self.tree2, &config.join).choice,
+        };
         let prefix = format!("session.{id}.");
 
         let engine = match plan {
@@ -677,7 +698,7 @@ impl<'t, const D: usize> JoinService<'t, D> {
             batches: 0,
             buf: PoolStats::default(),
             ctx: self.ctx.clone(),
-            admission: Arc::clone(&self.active),
+            _slot: slot,
         })
     }
 }
@@ -722,5 +743,43 @@ pub fn drain_round_robin<const D: usize>(
         if !any_live || !progressed {
             return outcomes;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sdj_rtree::{ObjectId, RTreeConfig};
+
+    fn tree() -> RTree<2> {
+        let mut t = RTree::new(RTreeConfig::small(4));
+        t.insert(ObjectId(0), sdj_geom::Rect::new([0.0, 0.0], [1.0, 1.0]))
+            .unwrap();
+        t
+    }
+
+    /// A slot dropped before it reaches a handle (say, by a panic while the
+    /// engine is built) is returned; one handed to a handle stays taken
+    /// until the handle drops.
+    #[test]
+    fn admission_slot_returns_on_drop_unless_handed_over() {
+        let t = tree();
+        let service = JoinService::new(&t, &t, ServiceConfig::default());
+        let slot = AdmissionSlot::take(&service.active, 1).unwrap();
+        assert_eq!(service.active_sessions(), 1);
+        assert!(matches!(
+            AdmissionSlot::take(&service.active, 1),
+            Err(ServiceError::AdmissionDenied {
+                active: 1,
+                limit: 1
+            })
+        ));
+        drop(slot);
+        assert_eq!(service.active_sessions(), 0, "a dropped slot returns");
+
+        let handle = service.open(SessionConfig::default()).unwrap();
+        assert_eq!(service.active_sessions(), 1, "a handed-over slot stays");
+        drop(handle);
+        assert_eq!(service.active_sessions(), 0);
     }
 }

@@ -17,9 +17,10 @@
 //!   cancelled) leaves its neighbours' streams untouched.
 
 use proptest::prelude::*;
-use sdj_core::bulk::BulkDistanceJoin;
+use sdj_core::bulk::{BulkConfig, BulkDistanceJoin};
 use sdj_core::{
-    AdaptiveConfig, AdaptiveDistanceJoin, DistanceJoin, JoinConfig, PlanChoice, QueueBackend,
+    AdaptiveConfig, AdaptiveDistanceJoin, ConfigError, DistanceJoin, JoinConfig, PlanChoice,
+    QueueBackend,
 };
 use sdj_geom::Rect;
 use sdj_pqueue::{HybridConfig, KeyScale};
@@ -426,6 +427,94 @@ fn invalid_config_is_refused_without_taking_a_slot() {
     let mut session = service
         .open(SessionConfig::default())
         .expect("the only slot is still free");
+    assert_eq!(session.next_batch(10).unwrap().results.len(), 1);
+}
+
+/// An unforced open cursor (no `STOP AFTER`, unbounded range) runs
+/// incremental even where the cost model picks bulk for its whole cross
+/// product: the first batch holds only the queue, not every pair.
+#[test]
+fn open_cursor_runs_incremental_not_bulk() {
+    let points = |seed: u64| -> Vec<Rect<2>> {
+        sdj_datagen::uniform_points(1_000, &sdj_datagen::unit_box(), seed)
+            .iter()
+            .map(|p| p.to_rect())
+            .collect()
+    };
+    let t1 = tree(&points(1), 8);
+    let t2 = tree(&points(2), 8);
+    let join = JoinConfig::default();
+    assert_eq!(
+        sdj_core::plan_for_trees(&t1, &t2, &join).choice,
+        PlanChoice::Bulk,
+        "the cost model picks bulk for this open cursor"
+    );
+    let service = JoinService::new(&t1, &t2, ServiceConfig::default());
+    let mut session = service
+        .open(SessionConfig {
+            join,
+            force_plan: None,
+            ..SessionConfig::default()
+        })
+        .unwrap();
+    assert_eq!(session.plan(), PlanChoice::Incremental);
+    assert_eq!(session.report_section().plan, "incremental");
+    let batch = session.next_batch(256).unwrap();
+    assert_eq!(batch.results.len(), 256);
+    assert!(!batch.done);
+    let cross_product = t1.len() * t2.len() * std::mem::size_of::<sdj_core::ResultPair>();
+    assert!(
+        session.held_bytes() * 10 < cross_product,
+        "an open cursor holds {} bytes; the cross product is {cross_product}",
+        session.held_bytes()
+    );
+    let solo: Vec<_> = DistanceJoin::new(&t1, &t2, join).take(256).collect();
+    assert_eq!(triples(&batch.results), triples(&solo));
+}
+
+/// A forced bulk cell width that is not positive and finite is refused at
+/// `open` with a typed error, before admission, whatever the plan.
+#[test]
+fn invalid_cell_width_is_refused_without_taking_a_slot() {
+    let t1 = tree(&[Rect::new([0.0, 0.0], [1.0, 1.0])], 4);
+    let t2 = tree(&[Rect::new([2.0, 2.0], [3.0, 3.0])], 4);
+    let service = JoinService::new(
+        &t1,
+        &t2,
+        ServiceConfig {
+            max_sessions: 1,
+            session_budget: None,
+        },
+    );
+    for width in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+        for force_plan in [None, Some(PlanChoice::Bulk), Some(PlanChoice::Adaptive)] {
+            let config = SessionConfig {
+                join: JoinConfig::default().with_range(0.0, 5.0),
+                force_plan,
+                bulk: BulkConfig {
+                    cell_width: Some(width),
+                    ..BulkConfig::default()
+                },
+                ..SessionConfig::default()
+            };
+            match service.open(config) {
+                Err(ServiceError::InvalidConfig(ConfigError::InvalidCellWidth)) => {}
+                Err(other) => panic!("expected InvalidCellWidth for {width}, got {other:?}"),
+                Ok(_) => panic!("expected InvalidCellWidth for {width}, got a session"),
+            }
+            assert_eq!(service.active_sessions(), 0, "slot leaked for {width}");
+        }
+    }
+    let mut session = service
+        .open(SessionConfig {
+            force_plan: Some(PlanChoice::Bulk),
+            bulk: BulkConfig {
+                cell_width: Some(0.5),
+                ..BulkConfig::default()
+            },
+            ..SessionConfig::default()
+        })
+        .expect("a positive finite width is accepted");
     assert_eq!(session.next_batch(10).unwrap().results.len(), 1);
 }
 
